@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .bands import mean_band_powers, third_octave_centers, to_db
+from .allpass import next_pow2
+from .bands import band_bins, mean_band_powers, third_octave_centers, to_db
 from .design import UnitCapricep
 from .errors import AnalysisError
 from .sequences import B4, SequenceSet
@@ -181,15 +182,16 @@ def decompose(
     """Split a recording of the three-sequence test signal into the five
     channels.  ``scale`` is the playback gain recorded in the sidecar;
     all levels are referenced to the unit-gain test signal."""
-    recorded = np.asarray(recorded, dtype=float) / scale
+    recorded = np.asarray(recorded, dtype=float)
+    if not np.isfinite(recorded).all():
+        raise AnalysisError("recording contains NaN or inf samples")
+    recorded = recorded / scale
     n_o = sset.n_o
     fs = sset.fs
     comp = compress(recorded, sset.units, n_o=n_o)
     n_ini = comp.alignment
     r_itr = orthogonalize(comp, B4, n_o)
     omega = usable_omega(sset, n_ini, len(comp.q[0]))
-    if not omega:
-        raise AnalysisError("recording too short for one clean cycle")
 
     r_m = [synchronous_average(r_itr[m], n_ini, n_o, omega) for m in range(3)]
     lti_raw = (r_m[0] + r_m[1] + r_m[2]) / 3.0
@@ -242,6 +244,8 @@ def _background_windows(
     if pre_silence is None or len(pre_silence) < 2 * n_o:
         return np.zeros((1, n_o)), False
     silence = np.asarray(pre_silence, dtype=float)
+    if not np.isfinite(silence).all():
+        raise AnalysisError("pre-signal silence contains NaN or inf samples")
     if np.max(np.abs(silence)) >= 0.999 * max(1.0, scale):
         return np.zeros((1, n_o)), False
     silence = silence / scale
@@ -264,7 +268,7 @@ def _level_table(
     background_valid: bool,
 ) -> dict:
     centers = third_octave_centers(fs)
-    n_fft = 1 << int(np.ceil(np.log2(max(256, 2 * n_o))))
+    n_fft = next_pow2(max(256, 2 * n_o))
 
     lti_band = mean_band_powers([lti_raw], fs, centers, n_fft)
     reference = float(lti_band.max())
@@ -279,15 +283,9 @@ def _level_table(
 
     # Smoothed spectrum: per-band mean power (PSD smoothing), re-pinned
     # to the raw curve's peak so both LTI lines share the 0 dB point.
-    freqs = np.fft.rfftfreq(n_fft, d=1.0 / fs)
-    spec = np.abs(np.fft.rfft(lti_raw, n_fft)) ** 2 / n_fft
-    from .bands import band_edges
-    lo, hi = band_edges(centers)
-    smoothed = np.array([
-        spec[(freqs >= lo[i]) & (freqs < hi[i])].mean()
-        if np.any((freqs >= lo[i]) & (freqs < hi[i])) else 0.0
-        for i in range(len(centers))
-    ])
+    start, stop = band_bins(fs, centers, n_fft)
+    n_bins = stop - start
+    smoothed = np.divide(lti_band, n_bins, out=np.zeros(len(centers)), where=n_bins > 0)
     smoothed_ref = float(smoothed.max()) if smoothed.max() > 0 else 1.0
 
     return {

@@ -15,7 +15,7 @@ from scipy.signal import fftconvolve
 from scipy.stats import skew
 
 from .bands import band_level_deviation_db
-from .design import DesignParams, derive_seed, generate_unit
+from .design import TERD_NOMINAL_RATIO, DesignParams, derive_unit_designs, generate_unit
 from .errors import SignalError
 
 SNR_CAP_DB = 150.0
@@ -77,7 +77,7 @@ def augment(
         raise SignalError("n_variants must be at least 1")
     if base_params is None:
         base_params = DesignParams(
-            fs=fs, fd=1.736 / t_erd_s, seed=seed, truncation_factor=8.0)
+            fs=fs, fd=TERD_NOMINAL_RATIO / t_erd_s, seed=seed, truncation_factor=8.0)
 
     identity = base_params.fd >= fs / 2.0
     peak = float(np.max(np.abs(x))) or 1.0
@@ -88,12 +88,12 @@ def augment(
     hists = [_histogram(x / peak, edges)]
     deltas = []
     skews = [float(skew(x))]
-    for i in range(n_variants):
+    # Variants derive from ``seed`` even when base_params carries another.
+    designs = derive_unit_designs(replace(base_params, seed=seed), n_variants)
+    for i, p in enumerate(designs):
         if identity:
             y = x.copy()
         else:
-            child = derive_seed(seed, i)
-            p = replace(base_params, seed=int(child.generate_state(1)[0]))
             unit = generate_unit(p, t_erd_s)
             y = fftconvolve(x, unit.samples, mode="full")
         variants.append(y)

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .allpass import next_pow2
+
 _DB_FLOOR = -300.0
 
 
@@ -19,28 +21,28 @@ def band_edges(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def band_powers(x: np.ndarray, fs: float, centers: np.ndarray,
-                n_fft: int | None = None) -> np.ndarray:
+def band_bins(fs: float, centers: np.ndarray, n_fft: int) -> tuple[np.ndarray, np.ndarray]:
+    """[start, stop) rfft-bin range of each band on an n_fft grid: the
+    bins with lo <= freq < hi."""
+    freqs = np.fft.rfftfreq(n_fft, d=1.0 / fs)
+    lo, hi = band_edges(centers)
+    return (np.searchsorted(freqs, lo, side="left"),
+            np.searchsorted(freqs, hi, side="left"))
+
+
+def band_powers(x: np.ndarray, fs: float, centers: np.ndarray, n_fft: int) -> np.ndarray:
     """Total spectral power per band of one time-domain frame.
 
     Power is |rfft|^2 summed over the band's bins and scaled by 1/n so
     the sum over all bins equals the frame energy (Parseval).
     """
-    n = len(x)
-    if n_fft is None:
-        n_fft = 1 << max(8, int(np.ceil(np.log2(max(2, n)))))
     spec = np.abs(np.fft.rfft(x, n_fft)) ** 2 / n_fft
-    freqs = np.fft.rfftfreq(n_fft, d=1.0 / fs)
-    lo, hi = band_edges(centers)
-    out = np.empty(len(centers))
-    for i in range(len(centers)):
-        sel = (freqs >= lo[i]) & (freqs < hi[i])
-        out[i] = spec[sel].sum() if np.any(sel) else 0.0
-    return out
+    start, stop = band_bins(fs, centers, n_fft)
+    return np.array([spec[a:b].sum() for a, b in zip(start, stop)])
 
 
 def mean_band_powers(frames: list[np.ndarray], fs: float, centers: np.ndarray,
-                     n_fft: int | None = None) -> np.ndarray:
+                     n_fft: int) -> np.ndarray:
     """Band powers averaged (in power) across frames of equal length."""
     acc = np.zeros(len(centers))
     for f in frames:
@@ -59,7 +61,7 @@ def band_level_deviation_db(x: np.ndarray, y: np.ndarray, fs: float,
                             f_low: float = 25.0) -> np.ndarray:
     """Per-band level difference 10 log10(Py / Px), same length inputs."""
     centers = third_octave_centers(fs, f_low)
-    n_fft = 1 << int(np.ceil(np.log2(max(len(x), len(y)))))
+    n_fft = next_pow2(max(len(x), len(y)))
     px = band_powers(x, fs, centers, n_fft)
     py = band_powers(y, fs, centers, n_fft)
     keep = px > 0

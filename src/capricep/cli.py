@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import itertools
 import sys
 from pathlib import Path
 
@@ -18,17 +18,21 @@ from . import __version__
 from .augment import augment
 from .analyzer import decompose
 from .design import (
+    DEFAULT_ALPHA,
+    DEFAULT_CMAG,
+    DEFAULT_TRUNCATION,
     DesignParams,
     composite_unit,
+    derive_unit_designs,
     design_to_json,
     generate_ensemble,
     generate_unit,
     raised_cosine_short_params,
 )
 from .errors import CapricepError
-from .metadata import SessionMetadata, derive_unit_designs
+from .metadata import SessionMetadata
 from .sequences import build_test_signal, default_n_repeats
-from .shaping import coarse_search, optimize_terd
+from .shaping import coarse_search, optimize_terd, pairwise_max_xcorr
 from .simulator import VirtualSystem, run
 from .wavio import read_wav, write_wav
 
@@ -46,22 +50,22 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="output directory")
 
 
-def _params(args, seed=None) -> DesignParams:
+def _params(args) -> DesignParams:
     return DesignParams(
         fs=args.fs,
         fd=args.fd,
-        alpha=getattr(args, "alpha", 8.0),
-        beta=getattr(args, "beta", 8.0),
-        cmag=getattr(args, "cmag", 2.0 ** 0.25),
-        seed=args.seed if seed is None else seed,
-        truncation_factor=getattr(args, "truncation", 4.0),
+        alpha=getattr(args, "alpha", DEFAULT_ALPHA),
+        beta=getattr(args, "beta", DEFAULT_ALPHA),
+        cmag=getattr(args, "cmag", DEFAULT_CMAG),
+        seed=args.seed,
+        truncation_factor=getattr(args, "truncation", DEFAULT_TRUNCATION),
     )
 
 
 def _terd(args) -> float:
     if args.terd_ms is not None:
         return args.terd_ms / 1000.0
-    return 1.736 / args.fd
+    return _params(args).nominal_t_erd()
 
 
 def cmd_design(args) -> int:
@@ -111,23 +115,15 @@ def cmd_optimize(args) -> int:
 def cmd_xcorr_stats(args) -> int:
     params = _params(args)
     units = generate_ensemble(params, _terd(args), args.count)
-    stack = [u.samples for u in units]
-    n = len(stack[0])
-    n_fft = 1 << int(np.ceil(np.log2(2 * n - 1)))
-    specs = [np.fft.rfft(x, n_fft) for x in stack]
-    norms = [np.sqrt(np.dot(x, x)) for x in stack]
+    maxima = pairwise_max_xcorr(units)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out_dir / "xcorr_stats.csv"
-    maxima = []
     with open(out, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["unit_i", "unit_j", "max_abs_xcorr"])
-        for i in range(len(units)):
-            for j in range(i + 1, len(units)):
-                cc = np.fft.irfft(specs[i] * np.conj(specs[j]), n_fft)
-                m = float(np.max(np.abs(cc)) / (norms[i] * norms[j]))
-                maxima.append(m)
-                w.writerow([i, j, f"{m:.6f}"])
+        pairs = itertools.combinations(range(len(units)), 2)
+        for (i, j), m in zip(pairs, maxima):
+            w.writerow([i, j, f"{m:.6f}"])
     print(f"wrote {out}; median max|xcorr| = {np.median(maxima):.4f}")
     return 0
 
@@ -224,10 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design", help="generate one unit pulse WAV + sidecar")
     _add_common(p)
-    p.add_argument("--alpha", type=float, default=8.0)
-    p.add_argument("--beta", type=float, default=8.0)
-    p.add_argument("--cmag", type=float, default=2.0 ** 0.25)
-    p.add_argument("--truncation", type=float, default=4.0)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    p.add_argument("--beta", type=float, default=DEFAULT_ALPHA)
+    p.add_argument("--cmag", type=float, default=DEFAULT_CMAG)
+    p.add_argument("--truncation", type=float, default=DEFAULT_TRUNCATION)
     p.add_argument("--composite", action="store_true",
                    help="prepend the short raised-cosine companion cascade")
     p.add_argument("--sections", action="store_true",

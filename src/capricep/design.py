@@ -108,11 +108,6 @@ class UnitCapricep:
     def energy(self) -> float:
         return float(np.sum(self.samples * self.samples))
 
-    @property
-    def first_order_count(self) -> int:
-        """Number of cascaded first-order all-pass filters (2 per pole pair)."""
-        return 2 * len(self.sections)
-
 
 def first_order_count(sections: list[AllPassSection]) -> int:
     """Cascaded first-order filter count: each pole pair realizes two."""
@@ -213,23 +208,25 @@ def composite_unit(
     return _render_unit(sections, long_params, t_erd_s)
 
 
+def derive_unit_designs(base: DesignParams, count: int = 4) -> list[DesignParams]:
+    """Per-unit designs with seeds derived from (base seed, unit index).
+
+    Every ensemble uses this rule, so make-signal and analyze regenerate
+    the same units from one seed; the default count is a session's four.
+    """
+    return [
+        replace(base, seed=int(derive_seed(base.seed, i).generate_state(1)[0]))
+        for i in range(count)
+    ]
+
+
 def generate_ensemble(
     params: DesignParams,
     t_erd_s: float,
     n_units: int,
-    composite: bool = False,
 ) -> list[UnitCapricep]:
     """n_units independent units with per-index derived seeds."""
-    units = []
-    for i in range(n_units):
-        child = derive_seed(params.seed, i)
-        p = replace(params, seed=int(child.generate_state(1)[0]))
-        if composite:
-            short = raised_cosine_short_params(params.fs, seed=p.seed ^ 0x5EED)
-            units.append(composite_unit(short, p, t_erd_s))
-        else:
-            units.append(generate_unit(p, t_erd_s))
-    return units
+    return [generate_unit(p, t_erd_s) for p in derive_unit_designs(params, n_units)]
 
 
 def design_to_json(unit: UnitCapricep, include_sections: bool = False) -> str:
@@ -237,7 +234,7 @@ def design_to_json(unit: UnitCapricep, include_sections: bool = False) -> str:
     doc = {
         "design": unit.design.to_dict(),
         "t_erd_s": unit.t_erd_s,
-        "first_order_count": unit.first_order_count,
+        "first_order_count": first_order_count(unit.sections),
     }
     if include_sections:
         doc["sections"] = [

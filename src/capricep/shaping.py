@@ -8,11 +8,12 @@ cumulative sums scaled by the sample period.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .design import DesignParams, generate_ensemble
+from .allpass import next_pow2
+from .design import DesignParams, UnitCapricep, generate_ensemble
 from .errors import DesignError, SignalError
 
 
@@ -57,12 +58,11 @@ def ensemble_variance(
     params: DesignParams,
     t_erd_s: float,
     n_units: int,
-    composite: bool = False,
 ) -> EnsembleVariance:
     """Unbiased per-sample variance over n_units independently seeded units."""
     if n_units < 2:
         raise DesignError("n_units must be at least 2")
-    units = generate_ensemble(params, t_erd_s, n_units, composite=composite)
+    units = generate_ensemble(params, t_erd_s, n_units)
     stack = np.stack([u.samples for u in units])
     return EnsembleVariance(
         variance=stack.var(axis=0, ddof=1),
@@ -70,6 +70,23 @@ def ensemble_variance(
         fs=params.fs,
         center_index=units[0].center_index,
     )
+
+
+def pairwise_max_xcorr(units: list[UnitCapricep]) -> np.ndarray:
+    """Normalized max |cross-correlation| of every pair i < j of
+    equal-length units, in (0, 1), (0, 2), ..., (1, 2), ... order."""
+    if len(units) < 2:
+        raise DesignError(f"cross-correlation needs at least 2 units, got {len(units)}")
+    stack = [u.samples for u in units]
+    n_fft = next_pow2(2 * len(stack[0]) - 1)
+    specs = [np.fft.rfft(x, n_fft) for x in stack]
+    norms = [np.sqrt(np.dot(x, x)) for x in stack]
+    maxima = []
+    for i in range(len(units)):
+        for j in range(i + 1, len(units)):
+            cc = np.fft.irfft(specs[i] * np.conj(specs[j]), n_fft)
+            maxima.append(float(np.max(np.abs(cc)) / (norms[i] * norms[j])))
+    return np.array(maxima)
 
 
 def wasserstein_distance(v: EnsembleVariance, target: ShapeTarget) -> float:
@@ -121,8 +138,6 @@ def coarse_search(
 
     Returns rows {cmag, alpha, best_t_erd, cost} sorted by cost.
     """
-    from dataclasses import replace
-
     if terd_grid is None:
         terd_grid = list(np.arange(1.0, 2.51, 0.1) / params.fd)
     rows = []

@@ -9,6 +9,7 @@ from .errors import SignalError
 
 _FORMAT_PCM = 1
 _FORMAT_FLOAT = 3
+_SUPPORTED = {(_FORMAT_FLOAT, 32), (_FORMAT_PCM, 16), (_FORMAT_PCM, 24)}
 
 
 def write_wav(path, samples: np.ndarray, fs: float, subtype: str = "float32") -> None:
@@ -68,19 +69,22 @@ def read_wav(path) -> tuple[np.ndarray, float]:
     if channels != 1:
         raise SignalError(
             f"{path}: {channels}-channel WAV not supported; provide mono input")
-    if audio_format == _FORMAT_FLOAT and bits == 32:
+    if (audio_format, bits) not in _SUPPORTED:
+        raise SignalError(
+            f"{path}: unsupported format (code={audio_format}, bits={bits})")
+    if len(payload) % (bits // 8):
+        raise SignalError(
+            f"{path}: data chunk of {len(payload)} bytes is not a whole "
+            f"number of {bits}-bit samples")
+    if audio_format == _FORMAT_FLOAT:
         x = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    elif audio_format == _FORMAT_PCM and bits == 16:
+    elif bits == 16:
         x = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
-    elif audio_format == _FORMAT_PCM and bits == 24:
-        n = len(payload) // 3
-        raw = np.frombuffer(payload, dtype=np.uint8)[: n * 3].reshape(n, 3)
+    else:
+        raw = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
         vals = (raw[:, 0].astype(np.int32)
                 | (raw[:, 1].astype(np.int32) << 8)
                 | (raw[:, 2].astype(np.int32) << 16))
         vals = np.where(vals >= 1 << 23, vals - (1 << 24), vals)
         x = vals.astype(np.float64) / 8388608.0
-    else:
-        raise SignalError(
-            f"{path}: unsupported format (code={audio_format}, bits={bits})")
     return x, float(rate)

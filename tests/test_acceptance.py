@@ -22,7 +22,7 @@ from capricep.design import (
 )
 from capricep.metadata import derive_unit_designs
 from capricep.sequences import B4, build_sequence, build_test_signal, default_n_repeats
-from capricep.shaping import optimize_terd
+from capricep.shaping import optimize_terd, pairwise_max_xcorr
 from capricep.simulator import VirtualSystem, run
 
 
@@ -70,17 +70,7 @@ def test_criterion_03_terd_optimum():
 
 def test_criterion_04_crosscorr_median():
     p = DesignParams(fs=44100.0, fd=40.0, seed=0)
-    units = generate_ensemble(p, p.nominal_t_erd(), 100)
-    stack = [u.samples for u in units]
-    n = len(stack[0])
-    n_fft = 1 << int(np.ceil(np.log2(2 * n - 1)))
-    specs = [np.fft.rfft(x, n_fft) for x in stack]
-    norms = [np.sqrt(np.dot(x, x)) for x in stack]
-    maxima = []
-    for i in range(100):
-        for j in range(i + 1, 100):
-            cc = np.fft.irfft(specs[i] * np.conj(specs[j]), n_fft)
-            maxima.append(np.max(np.abs(cc)) / (norms[i] * norms[j]))
+    maxima = pairwise_max_xcorr(generate_ensemble(p, p.nominal_t_erd(), 100))
     med = float(np.median(maxima))
     ok = 0.06 <= med <= 0.12
     _report("cross-correlation median", ok,

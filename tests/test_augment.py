@@ -1,9 +1,10 @@
 """All-pass filter-bank augmentation: invariants and reporting."""
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from capricep.augment import SNR_CAP_DB, augment
-from capricep.design import DesignParams
+from capricep.design import DesignParams, derive_unit_designs, generate_unit
 from capricep.errors import SignalError
 
 FS = 16000.0
@@ -23,6 +24,17 @@ def test_identity_when_no_section_fits():
         assert np.array_equal(v, x)
         assert snr == SNR_CAP_DB
     assert np.array_equal(rep.value_histograms[0], rep.value_histograms[1])
+
+
+def test_variants_use_the_derived_designs_of_the_seed_argument():
+    x = _asymmetric_signal(4000)
+    t_erd = 0.004
+    base = DesignParams(fs=FS, fd=500.0, seed=999, truncation_factor=6.0)
+    variants, _ = augment(x, FS, base_params=base, n_variants=3, seed=4, t_erd_s=t_erd)
+    designs = derive_unit_designs(DesignParams(fs=FS, fd=500.0, seed=4,
+                                               truncation_factor=6.0), 3)
+    for v, d in zip(variants, designs):
+        assert np.array_equal(v, fftconvolve(x, generate_unit(d, t_erd).samples))
 
 
 def test_energy_preserved_within_one_percent():

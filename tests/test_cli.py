@@ -44,6 +44,57 @@ def test_xcorr_stats_csv(tmp_path):
     assert len(lines) == 1 + 6  # header + C(4,2) pairs
 
 
+def test_xcorr_stats_needs_two_units(tmp_path, capsys):
+    rc = main(["xcorr-stats", *FAST, "--count", "1", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "xcorr_stats.csv").exists()
+
+
+def _simulated_session(tmp_path):
+    assert main(["make-signal", *FAST, "--cycles", "2",
+                 "--out-dir", str(tmp_path)]) == 0
+    sys_path = tmp_path / "system.json"
+    sys_path.write_text(json.dumps({"lti_ir": [1.0, 0.0, 0.25], "noise_level_db": -80.0}))
+    assert main(["simulate", "--signal", str(tmp_path / "test_signal.wav"),
+                 "--system", str(sys_path), "--pre-silence-s", "0.5",
+                 "--out-dir", str(tmp_path)]) == 0
+
+
+def _analyze(tmp_path, recording="response.wav", sidecar="test_signal.json"):
+    return main(["analyze", "--recording", str(tmp_path / recording),
+                 "--silence", str(tmp_path / "silence.wav"),
+                 "--sidecar", str(tmp_path / sidecar),
+                 "--out-dir", str(tmp_path / "out")])
+
+
+def test_analyze_rejects_non_finite_recording(tmp_path, capsys):
+    _simulated_session(tmp_path)
+    x, fs = read_wav(tmp_path / "response.wav")
+    x[len(x) // 2] = np.nan
+    write_wav(tmp_path / "nan.wav", x, fs, "float32")
+    capsys.readouterr()
+    assert _analyze(tmp_path, recording="nan.wav") == 1
+    assert "NaN or inf" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "levels.csv").exists()
+
+
+@pytest.mark.parametrize("field,value", [("n_o", None), ("scale", 0.0)])
+def test_analyze_rejects_malformed_sidecar(tmp_path, capsys, field, value):
+    _simulated_session(tmp_path)
+    doc = json.loads((tmp_path / "test_signal.json").read_text())
+    if value is None:
+        del doc[field]
+    else:
+        doc[field] = value
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert _analyze(tmp_path, sidecar="bad.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert not (tmp_path / "out" / "levels.csv").exists()
+
+
 def test_full_pipeline_make_simulate_analyze(tmp_path):
     assert main(["make-signal", *FAST, "--cycles", "2",
                  "--out-dir", str(tmp_path)]) == 0

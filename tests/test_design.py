@@ -8,6 +8,7 @@ from capricep.design import (
     DesignParams,
     composite_unit,
     derive_seed,
+    derive_unit_designs,
     design_to_json,
     draw_sections,
     first_order_count,
@@ -61,7 +62,8 @@ def test_first_order_count_is_twice_the_pair_count():
     p = DesignParams(fs=16000.0, fd=100.0, seed=9)
     sections = draw_sections(p)
     assert first_order_count(sections) == 2 * len(sections)
-    assert generate_unit(p).first_order_count == 2 * len(sections)
+    doc = json.loads(design_to_json(generate_unit(p)))
+    assert doc["first_order_count"] == 2 * len(sections)
 
 
 def test_truncated_unit_keeps_almost_all_energy():
@@ -101,6 +103,15 @@ def test_ensemble_units_are_independent_and_reproducible():
     assert all(np.array_equal(a.samples, b.samples) for a, b in zip(ens, again))
 
 
+def test_ensemble_units_use_the_derived_designs():
+    p = DesignParams(fs=16000.0, fd=100.0, seed=21)
+    designs = derive_unit_designs(p, 3)
+    ens = generate_ensemble(p, p.nominal_t_erd(), 3)
+    assert [u.design for u in ens] == designs
+    assert designs[0].seed == derive_seed(21, 0).generate_state(1)[0]
+    assert derive_unit_designs(p) == derive_unit_designs(p, 4)
+
+
 def test_derive_seed_is_stable_and_distinct():
     a = derive_seed(5, 0).generate_state(1)[0]
     b = derive_seed(5, 1).generate_state(1)[0]
@@ -114,7 +125,7 @@ def test_params_roundtrip_and_json():
     assert DesignParams.from_dict(p.to_dict()) == p
     u = generate_unit(DesignParams(fs=8000.0, fd=200.0, seed=1))
     doc = json.loads(design_to_json(u, include_sections=True))
-    assert doc["first_order_count"] == u.first_order_count
+    assert doc["first_order_count"] == first_order_count(u.sections)
     assert len(doc["sections"]) == len(u.sections)
 
 

@@ -2,7 +2,14 @@
 import numpy as np
 import pytest
 
-from capricep.bands import band_powers, third_octave_centers, band_edges, to_db
+from capricep.bands import (
+    band_edges,
+    band_level_deviation_db,
+    band_powers,
+    mean_band_powers,
+    third_octave_centers,
+    to_db,
+)
 from capricep.design import DesignParams, UnitCapricep, generate_unit
 from capricep.errors import SignalError
 from capricep.metadata import derive_unit_designs
@@ -124,3 +131,32 @@ def test_test_signal_band_spectrum_is_flat():
     keep = centers >= 2 * 100.0  # design density bounds the resolution floor
     dev = psd_db[keep] - np.median(psd_db[keep])
     assert np.max(np.abs(dev)) < 3.0
+
+
+def _band_powers_by_mask(x, fs, centers, n_fft):
+    spec = np.abs(np.fft.rfft(x, n_fft)) ** 2 / n_fft
+    freqs = np.fft.rfftfreq(n_fft, d=1.0 / fs)
+    lo, hi = band_edges(centers)
+    out = np.empty(len(centers))
+    for i in range(len(centers)):
+        sel = (freqs >= lo[i]) & (freqs < hi[i])
+        out[i] = spec[sel].sum() if np.any(sel) else 0.0
+    return out
+
+
+# On the coarse 8 kHz / 256-point grid the lowest bands hold no bin.
+@pytest.mark.parametrize("fs,n,n_fft", [
+    (16000.0, 1111, 4096), (44100.0, 8000, 16384), (8000.0, 50, 256)])
+def test_band_powers_equal_the_boolean_mask_sums(fs, n, n_fft):
+    rng = np.random.default_rng(int(n))
+    frames = rng.standard_normal((3, n))
+    centers = third_octave_centers(fs)
+    expected = [_band_powers_by_mask(f, fs, centers, n_fft) for f in frames]
+    assert np.array_equal(band_powers(frames[0], fs, centers, n_fft), expected[0])
+    assert np.array_equal(mean_band_powers(list(frames), fs, centers, n_fft),
+                          (0.0 + expected[0] + expected[1] + expected[2]) / 3)
+
+
+def test_band_level_deviation_of_one_sample_is_empty():
+    x = np.array([0.5])
+    assert band_level_deviation_db(x, x, 8000.0).size == 0

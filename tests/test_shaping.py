@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from capricep.design import DesignParams
+from capricep.design import DesignParams, generate_ensemble
 from capricep.errors import DesignError, SignalError
 from capricep.shaping import (
     coarse_search,
     ensemble_variance,
     optimize_terd,
+    pairwise_max_xcorr,
     raised_cosine_target,
     rectangular_target,
     w1_grid,
@@ -141,3 +142,27 @@ def test_coarse_search_rows_sorted_by_cost():
     assert len(rows) == 2
     assert rows[0]["cost"] <= rows[1]["cost"]
     assert all(r["best_t_erd"] in grid for r in rows)
+
+
+def test_pairwise_max_xcorr_matches_explicit_pair_loop():
+    p = DesignParams(fs=8000.0, fd=250.0, seed=17)
+    units = generate_ensemble(p, p.nominal_t_erd(), 5)
+    n_fft = 1 << int(np.ceil(np.log2(2 * len(units[0].samples) - 1)))
+    specs = [np.fft.rfft(u.samples, n_fft) for u in units]
+    norms = [np.sqrt(np.dot(u.samples, u.samples)) for u in units]
+    fft_loop, direct = [], []
+    for i in range(5):
+        for j in range(i + 1, 5):
+            cc = np.fft.irfft(specs[i] * np.conj(specs[j]), n_fft)
+            fft_loop.append(np.max(np.abs(cc)) / (norms[i] * norms[j]))
+            cc = np.correlate(units[i].samples, units[j].samples, mode="full")
+            direct.append(np.max(np.abs(cc)) / (norms[i] * norms[j]))
+    got = pairwise_max_xcorr(units)
+    assert np.array_equal(got, fft_loop)
+    assert np.allclose(got, direct, rtol=1e-12, atol=0.0)
+
+
+def test_pairwise_max_xcorr_needs_two_units():
+    p = DesignParams(fs=8000.0, fd=250.0, seed=17)
+    with pytest.raises(DesignError):
+        pairwise_max_xcorr(generate_ensemble(p, p.nominal_t_erd(), 1))

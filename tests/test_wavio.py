@@ -84,3 +84,27 @@ def test_missing_data_chunk_rejected(tmp_path):
         f.write(struct.pack("<IHHIIHH", 16, 1, 1, 8000, 16000, 2, 16))
     with pytest.raises(SignalError, match="missing"):
         read_wav(p)
+
+
+def _raw_wav(path, fmt, bits, payload):
+    with open(path, "wb") as f:
+        f.write(b"RIFF")
+        f.write(struct.pack("<I", 36 + len(payload)))
+        f.write(b"WAVEfmt ")
+        f.write(struct.pack("<IHHIIHH", 16, fmt, 1, 8000, 8000 * bits // 8, bits // 8, bits))
+        f.write(b"data")
+        f.write(struct.pack("<I", len(payload)))
+        f.write(payload)
+        if len(payload) & 1:
+            f.write(b"\0")
+
+
+@pytest.mark.parametrize("fmt,bits,n_bytes", [
+    (1, 16, 7), (3, 32, 10), (1, 24, 8), (1, 24, 1)])
+def test_misaligned_data_chunk_rejected(tmp_path, fmt, bits, n_bytes):
+    p = tmp_path / "odd.wav"
+    _raw_wav(p, fmt, bits, bytes(n_bytes))
+    with pytest.raises(SignalError, match="whole number"):
+        read_wav(p)
+    _raw_wav(p, fmt, bits, bytes(n_bytes - n_bytes % (bits // 8)))
+    assert len(read_wav(p)[0]) == n_bytes // (bits // 8)
