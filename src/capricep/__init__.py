@@ -10,7 +10,7 @@ from .design import (
     draw_sections,
     generate_unit,
 )
-from .sequences import B4, SequenceSet, build_sequence, build_test_signal
+from .sequences import B4, build_sequence, build_test_signal
 from .analyzer import DecompositionResult, compress, decompose, orthogonalize, synchronous_average
 from .simulator import VirtualSystem, run
 from .augment import AugmentReport, augment
@@ -27,7 +27,6 @@ __all__ = [
     "generate_unit",
     "composite_unit",
     "B4",
-    "SequenceSet",
     "build_sequence",
     "build_test_signal",
     "DecompositionResult",

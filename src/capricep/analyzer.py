@@ -26,7 +26,7 @@ from .allpass import next_pow2
 from .bands import band_bins, mean_band_powers, third_octave_centers, to_db
 from .design import UnitCapricep
 from .errors import AnalysisError
-from .sequences import B4, SequenceSet
+from .sequences import B4, check_session
 
 # Pre-roll (fraction of n_o) between window start and the pulse peak so
 # two-sided compression tails are not split across window edges.
@@ -41,7 +41,7 @@ _NOISE_GAIN_COMP = np.sqrt(8.0)
 @dataclass(frozen=True)
 class CompressedSignals:
     q: list[np.ndarray]
-    alignment: int | None = None
+    alignment: int
 
 
 @dataclass(frozen=True)
@@ -61,19 +61,16 @@ class DecompositionResult:
 def compress(
     recorded: np.ndarray,
     units: list[UnitCapricep],
-    n_o: int | None = None,
+    n_o: int,
 ) -> CompressedSignals:
     """Correlate the recording with each unit (time-reversed convolution)."""
     recorded = np.asarray(recorded, dtype=float)
-    length = len(units[0].samples)
-    min_len = 8 * n_o if n_o else length
-    if len(recorded) < min_len:
+    if len(recorded) < 8 * n_o:
         raise AnalysisError(
-            f"recording too short: {len(recorded)} samples, need >= {min_len}"
+            f"recording too short: {len(recorded)} samples, need >= {8 * n_o}"
         )
     q = [fftconvolve(recorded, u.samples[::-1], mode="full") for u in units]
-    alignment = find_alignment(q[0], n_o) if n_o else None
-    return CompressedSignals(q=q, alignment=alignment)
+    return CompressedSignals(q=q, alignment=find_alignment(q[0], n_o))
 
 
 def find_alignment(q1: np.ndarray, n_o: int) -> int:
@@ -133,7 +130,7 @@ def synchronous_average(
     omega: list[int],
 ) -> np.ndarray:
     """Mean of the length-n_o windows at n_ini + 8*k*n_o, k in omega."""
-    windows = _cycle_windows(r_itr, n_ini, n_o, omega, phase=0)
+    windows = _cycle_windows(r_itr, n_ini, n_o, omega)
     return windows.mean(axis=0)
 
 
@@ -142,13 +139,12 @@ def _cycle_windows(
     n_ini: int,
     n_o: int,
     omega: list[int],
-    phase: int,
 ) -> np.ndarray:
     if len(omega) == 0:
         raise AnalysisError("recording too short for one clean cycle")
     rows = []
     for k in omega:
-        start = n_ini + (phase + 8 * k) * n_o
+        start = n_ini + 8 * k * n_o
         if start < 0 or start + n_o > len(r_itr):
             raise AnalysisError(
                 f"cycle window [{start}, {start + n_o}) outside recording"
@@ -158,40 +154,40 @@ def _cycle_windows(
 
 
 def usable_omega(
-    sset: SequenceSet,
+    n_o: int,
+    n_repeats: int,
     n_ini: int,
     q_length: int,
 ) -> list[int]:
     """Complete 8-cycles excluding warm-up and cool-down, clipped to the
-    cycles whose phase-7 window plus orthogonalization span fits."""
-    n_cycles = sset.n_repeats // 8
-    omega = []
-    for k in range(1, n_cycles - 1):
-        end = n_ini + (7 + 8 * k) * sset.n_o + sset.n_o
-        if end <= q_length - 7 * sset.n_o:
-            omega.append(k)
-    return omega
+    cycles whose phase-7 window plus orthogonalization span fits:
+    n_ini + (8 + 8*k)*n_o <= q_length - 7*n_o."""
+    n_fit = (q_length - 7 * n_o - n_ini) // (8 * n_o)  # cycles 0 .. n_fit-1 fit
+    return list(range(1, min(n_repeats // 8 - 1, n_fit)))
 
 
 def decompose(
     recorded: np.ndarray,
     pre_silence: np.ndarray | None,
-    sset: SequenceSet,
+    units: list[UnitCapricep],
+    n_o: int,
+    n_repeats: int,
     scale: float = 1.0,
 ) -> DecompositionResult:
     """Split a recording of the three-sequence test signal into the five
-    channels.  ``scale`` is the playback gain recorded in the sidecar;
-    all levels are referenced to the unit-gain test signal."""
+    channels of the session ``units`` played every ``n_o`` samples,
+    ``n_repeats`` times.  ``scale`` is the playback gain recorded in the
+    sidecar; all levels are referenced to the unit-gain test signal."""
+    check_session(units, n_o, n_repeats)
     recorded = np.asarray(recorded, dtype=float)
     if not np.isfinite(recorded).all():
         raise AnalysisError("recording contains NaN or inf samples")
     recorded = recorded / scale
-    n_o = sset.n_o
-    fs = sset.fs
-    comp = compress(recorded, sset.units, n_o=n_o)
+    fs = units[0].fs
+    comp = compress(recorded, units, n_o)
     n_ini = comp.alignment
     r_itr = orthogonalize(comp, B4, n_o)
-    omega = usable_omega(sset, n_ini, len(comp.q[0]))
+    omega = usable_omega(n_o, n_repeats, n_ini, len(comp.q[0]))
 
     r_m = [synchronous_average(r_itr[m], n_ini, n_o, omega) for m in range(3)]
     lti_raw = (r_m[0] + r_m[1] + r_m[2]) / 3.0
@@ -207,10 +203,11 @@ def decompose(
     # Fourth channel: never part of the test signal, so it carries noise
     # and time variation only.  Power is kept per cycle (no waveform
     # averaging) and compensated for the orthogonalization gain.
-    w4 = _cycle_windows(r_itr[3], n_ini, n_o, omega, phase=0)
+    w4 = _cycle_windows(r_itr[3], n_ini, n_o, omega)
     random_tv = np.sqrt((w4 ** 2).mean(axis=0)) * _NOISE_GAIN_COMP
 
-    background, background_valid = _background_windows(pre_silence, sset, scale)
+    background, background_valid = _background_windows(
+        pre_silence, units[3].samples, n_o, scale)
 
     levels = _level_table(
         fs, n_o, lti_raw, dev_stack, w4, background, background_valid)
@@ -233,14 +230,14 @@ def decompose(
 
 def _background_windows(
     pre_silence: np.ndarray | None,
-    sset: SequenceSet,
+    u4: np.ndarray,
+    n_o: int,
     scale: float,
 ) -> tuple[np.ndarray, bool]:
     """Silence segment through the channel-4 compression path, cut into
     length-n_o frames.  Uses compression only (the segment is shorter
     than an 8-cycle), so frames carry the same unit gain for noise as
     the compensated channel-4 windows."""
-    n_o = sset.n_o
     if pre_silence is None or len(pre_silence) < 2 * n_o:
         return np.zeros((1, n_o)), False
     silence = np.asarray(pre_silence, dtype=float)
@@ -249,7 +246,6 @@ def _background_windows(
     if np.max(np.abs(silence)) >= 0.999 * max(1.0, scale):
         return np.zeros((1, n_o)), False
     silence = silence / scale
-    u4 = sset.units[3].samples
     qbg = fftconvolve(silence, u4[::-1], mode="valid")
     n_frames = len(qbg) // n_o
     if n_frames < 1:

@@ -31,7 +31,7 @@ from .design import (
 )
 from .errors import CapricepError
 from .metadata import SessionMetadata
-from .sequences import build_test_signal, default_n_repeats
+from .sequences import build_test_signal, default_n_o, default_n_repeats
 from .shaping import coarse_search, optimize_terd, pairwise_max_xcorr
 from .simulator import VirtualSystem, run
 from .wavio import read_wav, write_wav
@@ -133,9 +133,9 @@ def cmd_make_signal(args) -> int:
     t_erd = _terd(args)
     designs = derive_unit_designs(base)
     units = [generate_unit(d, t_erd) for d in designs]
-    n_o = args.n_o if args.n_o else len(units[0].samples)
+    n_o = default_n_o(units[0]) if args.n_o is None else args.n_o
     n_repeats = default_n_repeats(args.cycles)
-    signal, _ = build_test_signal(units, n_o, n_repeats)
+    signal = build_test_signal(units, n_o, n_repeats)
     scale = PEAK_TARGET / float(np.max(np.abs(signal)))
     meta = SessionMetadata(
         designs=designs, t_erd_s=t_erd, n_o=n_o, n_repeats=n_repeats,
@@ -170,8 +170,8 @@ def cmd_analyze(args) -> int:
         if fs_sil != fs:
             raise CapricepError("sample-rate mismatch: silence vs recording")
     units = meta.regenerate_units()
-    _, sset = build_test_signal(units, meta.n_o, meta.n_repeats)
-    result = decompose(recorded, silence, sset, scale=meta.scale)
+    result = decompose(recorded, silence, units, meta.n_o, meta.n_repeats,
+                       scale=meta.scale)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     write_wav(args.out_dir / "lti_raw.wav", result.lti_raw, fs, "float32")
     write_wav(args.out_dir / "nonl_ti.wav", result.nonlinear_ti, fs, "float32")

@@ -61,8 +61,6 @@ class SessionMetadata:
                 f"malformed sidecar: {type(exc).__name__}: {exc}") from exc
         if not (math.isfinite(meta.scale) and meta.scale > 0.0):
             raise SignalError(f"sidecar scale must be finite and > 0, got {meta.scale}")
-        if meta.n_o < 1:
-            raise SignalError(f"sidecar n_o must be at least 1, got {meta.n_o}")
         return meta
 
     def regenerate_units(self) -> list[UnitCapricep]:

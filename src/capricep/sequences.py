@@ -1,8 +1,6 @@
 """Periodic overlap-add test sequences weighted by the orthogonal B4 rows."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .design import UnitCapricep
@@ -28,17 +26,6 @@ def row_cyclic_autocorr(row: np.ndarray) -> np.ndarray:
     return np.array([np.dot(row, np.roll(row, -s)) for s in range(8)]) / 8.0
 
 
-@dataclass(frozen=True)
-class SequenceSet:
-    """The four weighted periodic sequences plus their timing metadata."""
-
-    sequences: list[np.ndarray]
-    n_o: int
-    n_repeats: int
-    units: list[UnitCapricep]
-    fs: float
-
-
 def default_n_o(unit: UnitCapricep) -> int:
     """Default repetition shift: one unit length (responses tile the period)."""
     return len(unit.samples)
@@ -51,6 +38,31 @@ def default_n_repeats(n_cycles: int = 3) -> int:
     return 8 * (n_cycles + 2)
 
 
+def _check_layout(length: int, n_o: int, n_repeats: int) -> None:
+    if n_o < 1:
+        raise SignalError("n_o must be at least 1")
+    if n_repeats < 8:
+        raise SignalError("n_repeats must cover at least one full 8-cycle")
+    if (length + n_o - 1) // n_o > _MAX_OVERLAP:
+        raise SignalError(
+            f"n_o={n_o} lets more than {_MAX_OVERLAP} unit copies overlap"
+        )
+
+
+def check_session(units: list[UnitCapricep], n_o: int, n_repeats: int) -> None:
+    """Reject a session the B4 layout cannot carry: it needs exactly four
+    units of one fs and length, n_o >= 1, at least one 8-cycle and at
+    most _MAX_OVERLAP overlapping unit copies."""
+    if len(units) != 4:
+        raise SignalError("need exactly 4 units")
+    fs = units[0].fs
+    length = len(units[0].samples)
+    for u in units[1:]:
+        if u.fs != fs or len(u.samples) != length:
+            raise SignalError("units must share fs and length")
+    _check_layout(length, n_o, n_repeats)
+
+
 def build_sequence(
     unit: UnitCapricep,
     weights_row: np.ndarray,
@@ -58,15 +70,8 @@ def build_sequence(
     n_repeats: int,
 ) -> np.ndarray:
     """Overlap-add of n_repeats shifted unit copies with cyclic +/-1 weights."""
-    if n_o < 1:
-        raise SignalError("n_o must be at least 1")
-    if n_repeats < 8:
-        raise SignalError("n_repeats must cover at least one full 8-cycle")
     length = len(unit.samples)
-    if (length + n_o - 1) // n_o > _MAX_OVERLAP:
-        raise SignalError(
-            f"n_o={n_o} lets more than {_MAX_OVERLAP} unit copies overlap"
-        )
+    _check_layout(length, n_o, n_repeats)
     row = np.asarray(weights_row, dtype=float)
     if row.shape != (8,):
         raise SignalError("weights_row must have 8 entries")
@@ -80,16 +85,10 @@ def build_test_signal(
     units: list[UnitCapricep],
     n_o: int,
     n_repeats: int,
-) -> tuple[np.ndarray, SequenceSet]:
-    """Sum of the first three sequences; the fourth is kept for the
-    silence channel of the analyzer."""
-    if len(units) != 4:
-        raise SignalError("need exactly 4 units")
-    fs = units[0].fs
-    length = len(units[0].samples)
-    for u in units[1:]:
-        if u.fs != fs or len(u.samples) != length:
-            raise SignalError("units must share fs and length")
-    sequences = [build_sequence(u, B4[m], n_o, n_repeats) for m, u in enumerate(units)]
-    test_signal = sequences[0] + sequences[1] + sequences[2]
-    return test_signal, SequenceSet(sequences, n_o, n_repeats, list(units), fs)
+) -> np.ndarray:
+    """Sum of the first three sequences.  The fourth B4 row is never
+    played; the analyzer's fourth channel carries only noise and time
+    variation."""
+    check_session(units, n_o, n_repeats)
+    seq = [build_sequence(u, B4[m], n_o, n_repeats) for m, u in enumerate(units[:3])]
+    return seq[0] + seq[1] + seq[2]

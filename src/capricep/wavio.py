@@ -26,8 +26,7 @@ def write_wav(path, samples: np.ndarray, fs: float, subtype: str = "float32") ->
     elif subtype == "pcm24":
         fmt, bits = _FORMAT_PCM, 24
         q = np.clip(np.round(x * 8388608.0), -8388608, 8388607).astype("<i4")
-        b = q.astype("<i4").tobytes()
-        payload = b"".join(b[i:i + 3] for i in range(0, len(b), 4))
+        payload = q.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
     else:
         raise SignalError(f"unsupported subtype {subtype!r}")
 
@@ -61,6 +60,9 @@ def read_wav(path) -> tuple[np.ndarray, float]:
                 raise SignalError(f"{path}: corrupt fmt chunk")
             fmt = struct.unpack("<HHIIHH", body[:16])
         elif chunk_id == b"data":
+            if len(body) < size:
+                raise SignalError(
+                    f"{path}: data chunk declares {size} bytes, file holds {len(body)}")
             payload = body
         pos += 8 + size + (size & 1)
     if fmt is None or payload is None:

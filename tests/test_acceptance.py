@@ -86,7 +86,7 @@ def test_criterion_05_compression_background():
     n_rep = default_n_repeats(3)
     # all three sequences play at once; q1's background is the
     # cross-talk from the other two, which orthogonalization removes
-    rec, _ = build_test_signal(units, n_o, n_rep)
+    rec = build_test_signal(units, n_o, n_rep)
     q = compress(rec, units, n_o=n_o)
 
     def pulse_to_background_db(x):
@@ -130,9 +130,9 @@ def test_criterion_06_orthogonality_exact():
             f"B4 inner products exact = {exact}, leakage = {leak:.1e}")
 
 
-def _measure(system, sset, signal, fs, scale):
+def _measure(system, session, signal, fs, scale):
     rec, pre = run(system, signal * scale, fs, pre_silence_s=1.0)
-    return decompose(rec, pre, sset, scale=scale)
+    return decompose(rec, pre, *session, scale=scale)
 
 
 def test_criterion_07_end_to_end_decomposition():
@@ -143,12 +143,13 @@ def test_criterion_07_end_to_end_decomposition():
     base = DesignParams(fs=fs, fd=20.0, seed=42)
     units = [generate_unit(d) for d in derive_unit_designs(base)]
     n_o = len(units[0].samples)
-    signal, sset = build_test_signal(units, n_o, default_n_repeats(3))
+    session = (units, n_o, default_n_repeats(3))
+    signal = build_test_signal(*session)
     scale = 0.5 / float(np.max(np.abs(signal)))
 
     t0 = time.perf_counter()
     clean = _measure(VirtualSystem(lti_ir=tuple(taps), latency_samples=777),
-                     sset, signal, fs, scale)
+                     session, signal, fs, scale)
     case_s = time.perf_counter() - t0
     est = clean.lti_raw
     # locate the FIR start by correlation, not by its peak sample
@@ -164,14 +165,14 @@ def test_criterion_07_end_to_end_decomposition():
     for c3 in (0.0, 0.01, 0.03, 0.1):
         res = _measure(
             VirtualSystem(lti_ir=tuple(taps), nl_coeffs=(1.0, 0.0, c3)),
-            sset, signal, fs, scale)
+            session, signal, fs, scale)
         nl_levels.append(float(20.0 * np.log10(
             np.sqrt(np.mean(res.nonlinear_ti ** 2)))))
     monotone = all(b > a for a, b in zip(nl_levels, nl_levels[1:]))
 
     noisy = _measure(
         VirtualSystem(lti_ir=tuple(taps), noise_level_db=-40.0, noise_seed=5),
-        sset, signal, fs, scale)
+        session, signal, fs, scale)
     rntv_db = 20.0 * np.log10(
         np.sqrt(np.mean(noisy.random_tv ** 2)) * scale)
     ok = (snr_db >= 40.0 and monotone and abs(rntv_db - (-40.0)) <= 3.0

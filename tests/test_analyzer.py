@@ -15,7 +15,6 @@ from capricep.errors import AnalysisError
 from capricep.metadata import derive_unit_designs
 from capricep.sequences import (
     B4,
-    SequenceSet,
     build_sequence,
     build_test_signal,
     row_cyclic_autocorr,
@@ -112,23 +111,42 @@ def test_synchronous_average_single_cycle_is_identity():
 
 
 def test_usable_omega_excludes_warmup_and_cooldown():
-    units = _delta_units()
-    sset = SequenceSet(sequences=[], n_o=10, n_repeats=40, units=units, fs=1000.0)
-    omega = usable_omega(sset, n_ini=5, q_length=40 * 10 + 100)
+    omega = usable_omega(10, 40, n_ini=5, q_length=40 * 10 + 100)
     assert omega == [1, 2, 3]
     # shorter recording drops trailing cycles
-    omega = usable_omega(sset, n_ini=5, q_length=30 * 10)
+    omega = usable_omega(10, 40, n_ini=5, q_length=30 * 10)
     assert omega == [1]
+
+
+def _usable_omega_loop(n_o, n_repeats, n_ini, q_length):
+    omega = []
+    for k in range(1, n_repeats // 8 - 1):
+        end = n_ini + (7 + 8 * k) * n_o + n_o
+        if end <= q_length - 7 * n_o:
+            omega.append(k)
+    return omega
+
+
+def test_usable_omega_equals_the_cycle_loop():
+    for n_o in (1, 3, 10, 77):
+        for n_repeats in (7, 8, 16, 24, 40, 47, 80):
+            for n_ini in (0, 1, n_o - 1, 5 * n_o + 2):
+                for q_length in range(0, 12 * 8 * n_o, max(1, 8 * n_o // 3)):
+                    assert (usable_omega(n_o, n_repeats, n_ini, q_length)
+                            == _usable_omega_loop(n_o, n_repeats, n_ini, q_length))
+    # a sidecar's n_repeats does not set the cost: the recording bounds omega
+    assert usable_omega(100, 8 * 10**9, 0, 50 * 8 * 100) == list(range(1, 49))
 
 
 def test_decompose_identity_system_recovers_flat_response():
     fs = 8000.0
     designs = derive_unit_designs(DesignParams(fs=fs, fd=250.0, seed=13))
     units = [generate_unit(d) for d in designs]
-    signal, sset = build_test_signal(units, len(units[0].samples), 8 * 5)
+    session = (units, len(units[0].samples), 8 * 5)
+    signal = build_test_signal(*session)
     system = VirtualSystem(lti_ir=(1.0,))
     rec, pre = run(system, signal, fs, pre_silence_s=0.2)
-    result = decompose(rec, pre, sset)
+    result = decompose(rec, pre, *session)
     assert result.omega_size >= 1
     # LTI channel concentrates in one sample (unit autocorrelation peak)
     peak = np.max(np.abs(result.lti_raw))
@@ -146,6 +164,6 @@ def test_decompose_without_silence_marks_background_invalid():
     fs = 8000.0
     designs = derive_unit_designs(DesignParams(fs=fs, fd=250.0, seed=13))
     units = [generate_unit(d) for d in designs]
-    signal, sset = build_test_signal(units, len(units[0].samples), 8 * 5)
-    result = decompose(signal, None, sset)
+    session = (units, len(units[0].samples), 8 * 5)
+    result = decompose(build_test_signal(*session), None, *session)
     assert not result.background_valid

@@ -95,6 +95,31 @@ def test_analyze_rejects_malformed_sidecar(tmp_path, capsys, field, value):
     assert not (tmp_path / "out" / "levels.csv").exists()
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("n_o", 0, "n_o must be at least 1"),
+    ("n_o", 1_000_000_000, "recording too short"),
+    ("n_repeats", 7, "8-cycle"),
+    ("designs", 3, "exactly 4 units"),
+])
+def test_analyze_rejects_bad_session_layout(tmp_path, capsys, field, value, message):
+    _simulated_session(tmp_path)
+    doc = json.loads((tmp_path / "test_signal.json").read_text())
+    doc[field] = doc["designs"][:value] if field == "designs" else value
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert _analyze(tmp_path, sidecar="bad.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "out" / "levels.csv").exists()
+
+
+def test_make_signal_rejects_zero_n_o(tmp_path, capsys):
+    rc = main(["make-signal", *FAST, "--n-o", "0", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert "n_o must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "test_signal.wav").exists()
+
+
 def test_full_pipeline_make_simulate_analyze(tmp_path):
     assert main(["make-signal", *FAST, "--cycles", "2",
                  "--out-dir", str(tmp_path)]) == 0

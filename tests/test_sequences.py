@@ -1,4 +1,6 @@
 """Weight matrix algebra and overlap-add sequence construction."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from capricep.sequences import (
     B4,
     build_sequence,
     build_test_signal,
+    check_session,
     default_n_o,
     default_n_repeats,
     row_cyclic_autocorr,
@@ -98,6 +101,25 @@ def test_pile_up_guard_and_bad_arguments():
         build_sequence(unit, B4[0], 0, 8)
 
 
+@pytest.mark.parametrize("lengths,fs,n_o,n_rep,match", [
+    ((100,) * 3, 1000.0, 10, 8, "exactly 4"),
+    ((100,) * 4, 2000.0, 10, 8, "share fs"),
+    ((100, 100, 100, 99), 1000.0, 10, 8, "share fs and length"),
+    ((100,) * 4, 1000.0, 0, 8, "n_o"),
+    ((100,) * 4, 1000.0, 10, 7, "8-cycle"),
+    ((100,) * 4, 1000.0, 6, 8, "overlap"),  # 17 copies
+])
+def test_check_session_rejects_each_layout_rule(lengths, fs, n_o, n_rep, match):
+    units = [_delta_unit(n) for n in lengths]
+    units[-1] = _delta_unit(lengths[-1], fs)
+    check_session([_delta_unit(100)] * 4, 7, 8)  # 15 copies pass
+    with pytest.raises(SignalError, match=match):
+        check_session(units, n_o, n_rep)
+    if len(units) == 4:
+        with pytest.raises(SignalError, match=match):
+            build_test_signal(units, n_o, n_rep)
+
+
 def test_defaults():
     unit = _delta_unit(123)
     assert default_n_o(unit) == 123
@@ -110,19 +132,20 @@ def test_test_signal_is_sum_of_first_three_sequences():
     fs = 8000.0
     units = [generate_unit(d) for d in
              derive_unit_designs(DesignParams(fs=fs, fd=250.0, seed=8))]
-    n_o = len(units[0].samples)
-    signal, sset = build_test_signal(units, n_o, default_n_repeats(2))
-    assert sset.n_o == n_o
-    assert len(sset.sequences) == 4
-    assert np.allclose(signal, sum(sset.sequences[:3]))
-    assert len(sset.units) == 4
+    n_o, n_rep = len(units[0].samples), default_n_repeats(2)
+    signal = build_test_signal(units, n_o, n_rep)
+    seq = [build_sequence(u, B4[m], n_o, n_rep) for m, u in enumerate(units)]
+    assert np.array_equal(signal, seq[0] + seq[1] + seq[2])
+    # the fourth unit is checked but never played
+    flipped = units[:3] + [replace(units[3], samples=-units[3].samples)]
+    assert np.array_equal(build_test_signal(flipped, n_o, n_rep), signal)
 
 
 def test_test_signal_band_spectrum_is_flat():
     fs = 8000.0
     units = [generate_unit(d) for d in
              derive_unit_designs(DesignParams(fs=fs, fd=100.0, seed=3))]
-    signal, _ = build_test_signal(units, len(units[0].samples), default_n_repeats(3))
+    signal = build_test_signal(units, len(units[0].samples), default_n_repeats(3))
     centers = third_octave_centers(fs)
     n_fft = 1 << int(np.ceil(np.log2(len(signal))))
     power = band_powers(signal, fs, centers, n_fft)

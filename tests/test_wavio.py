@@ -108,3 +108,25 @@ def test_misaligned_data_chunk_rejected(tmp_path, fmt, bits, n_bytes):
         read_wav(p)
     _raw_wav(p, fmt, bits, bytes(n_bytes - n_bytes % (bits // 8)))
     assert len(read_wav(p)[0]) == n_bytes // (bits // 8)
+
+
+def test_truncated_data_chunk_rejected(tmp_path):
+    p = tmp_path / "short.wav"
+    _raw_wav(p, 1, 16, bytes(10))
+    raw = bytearray(p.read_bytes())
+    raw[40:44] = struct.pack("<I", 1000)  # data size field
+    p.write_bytes(bytes(raw))
+    with pytest.raises(SignalError, match="declares 1000 bytes"):
+        read_wav(p)
+
+
+def test_pcm24_bytes_equal_the_per_sample_join(tmp_path):
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.uniform(-1.2, 1.2, 10_000), [-1.0, 1.0, 0.0]])
+    p = tmp_path / "p24.wav"
+    write_wav(p, x, FS, "pcm24")
+    b = np.clip(np.round(x * 8388608.0), -8388608, 8388607).astype("<i4").tobytes()
+    expected = b"".join(b[i:i + 3] for i in range(0, len(b), 4))
+    assert p.read_bytes()[44:] == expected
+    write_wav(p, np.zeros(0), FS, "pcm24")
+    assert read_wav(p)[0].size == 0
