@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 from scipy.signal import fftconvolve
 
 from .allpass import next_pow2
@@ -63,13 +64,23 @@ def compress(
     units: list[UnitCapricep],
     n_o: int,
 ) -> CompressedSignals:
-    """Correlate the recording with each unit (time-reversed convolution)."""
+    """Correlate the recording with each unit (time-reversed convolution).
+
+    Each q[m] is the full linear convolution of the recording with the
+    reversed unit m.  The recording is transformed once, on a grid long
+    enough for the longest unit, and every unit reuses its spectrum.
+    """
     recorded = np.asarray(recorded, dtype=float)
     if len(recorded) < 8 * n_o:
         raise AnalysisError(
             f"recording too short: {len(recorded)} samples, need >= {8 * n_o}"
         )
-    q = [fftconvolve(recorded, u.samples[::-1], mode="full") for u in units]
+    n_fft = scipy.fft.next_fast_len(
+        len(recorded) + max(len(u.samples) for u in units) - 1, True)
+    rec_spec = scipy.fft.rfft(recorded, n_fft)
+    q = [scipy.fft.irfft(rec_spec * scipy.fft.rfft(u.samples[::-1], n_fft), n_fft)
+         [: len(recorded) + len(u.samples) - 1] for u in units]
+    del rec_spec  # freed before find_alignment allocates its work arrays
     return CompressedSignals(q=q, alignment=find_alignment(q[0], n_o))
 
 

@@ -11,6 +11,15 @@ _FORMAT_PCM = 1
 _FORMAT_FLOAT = 3
 _SUPPORTED = {(_FORMAT_FLOAT, 32), (_FORMAT_PCM, 16), (_FORMAT_PCM, 24)}
 
+# WAVE_FORMAT_EXTENSIBLE carries its format code in a sub-format GUID
+# (KSDATAFORMAT_SUBTYPE_PCM / _IEEE_FLOAT) at bytes 24-40 of a 40-byte
+# fmt chunk whose extension size (bytes 16-18) is at least 22.
+_FORMAT_EXTENSIBLE = 0xFFFE
+_SUBFORMATS = {
+    struct.pack("<H", code) + bytes.fromhex("000000001000800000aa00389b71"): code
+    for code in (_FORMAT_PCM, _FORMAT_FLOAT)
+}
+
 
 def write_wav(path, samples: np.ndarray, fs: float, subtype: str = "float32") -> None:
     """Write a mono WAV file. subtype: 'pcm16', 'pcm24' or 'float32'."""
@@ -43,7 +52,11 @@ def write_wav(path, samples: np.ndarray, fs: float, subtype: str = "float32") ->
 
 
 def read_wav(path) -> tuple[np.ndarray, float]:
-    """Read a mono WAV file into float64 samples in [-1, 1]."""
+    """Read a mono WAV file into float64 samples in [-1, 1].
+
+    Accepts PCM-16, PCM-24 and 32-bit float, in a plain or a
+    WAVE_FORMAT_EXTENSIBLE fmt chunk; anything else raises SignalError.
+    """
     with open(path, "rb") as f:
         data = f.read()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
@@ -59,6 +72,13 @@ def read_wav(path) -> tuple[np.ndarray, float]:
             if len(body) < 16:
                 raise SignalError(f"{path}: corrupt fmt chunk")
             fmt = struct.unpack("<HHIIHH", body[:16])
+            if fmt[0] == _FORMAT_EXTENSIBLE:
+                if len(body) < 40 or struct.unpack("<H", body[16:18])[0] < 22:
+                    raise SignalError(f"{path}: WAVE_FORMAT_EXTENSIBLE fmt chunk too short")
+                if body[24:40] not in _SUBFORMATS:
+                    raise SignalError(f"{path}: unsupported WAVE_FORMAT_EXTENSIBLE "
+                                      f"sub-format {body[24:40].hex()}")
+                fmt = (_SUBFORMATS[body[24:40]], *fmt[1:])
         elif chunk_id == b"data":
             if len(body) < size:
                 raise SignalError(

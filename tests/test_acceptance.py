@@ -1,8 +1,8 @@
 """Top-level acceptance checks for the whole toolkit.
 
 Each test prints one PASS/FAIL line; run with `pytest -s tests/test_acceptance.py`
-to see them.  Criteria 3 and 5 generate large ensembles and take a few
-minutes; everything else is fast.
+to see them.  Criteria 3 and 5 generate large ensembles and take about a
+minute together; everything else is fast.
 """
 import time
 

@@ -12,6 +12,7 @@ from capricep.allpass import (
     next_pow2,
     section_phase,
 )
+from capricep.design import DesignParams, draw_sections
 from capricep.errors import DesignError, SignalError
 
 FS = 8000.0
@@ -28,6 +29,46 @@ def _iir_frequency_response(section: AllPassSection, fs: float, n_fft: int):
     x[0] = 1.0
     h = lfilter([a2, a1, 1.0], [1.0, a1, a2], x)
     return np.fft.fft(h)
+
+
+def _two_arctan2_phase_half(sections, fs: float, n_fft: int) -> np.ndarray:
+    """Reference: the earlier kernel, one arctan2 per pole on w -+ theta."""
+    omega = 2.0 * np.pi * np.arange(n_fft // 2 + 1) / n_fft
+    phase = -2.0 * omega * sum(s.time_sign for s in sections)
+    for s in sections:
+        r = np.exp(-np.pi * s.bandwidth_hz / fs)
+        theta = 2.0 * np.pi * s.center_freq_hz / fs
+        a_pos = np.arctan2(r * np.sin(omega - theta), 1.0 - r * np.cos(omega - theta))
+        a_neg = np.arctan2(r * np.sin(omega + theta), 1.0 - r * np.cos(omega + theta))
+        phase -= 2.0 * s.time_sign * (a_pos + a_neg)
+    return phase
+
+
+@pytest.mark.parametrize("fs,fd,n_fft", [
+    (44100.0, 40.0, 16384),  # the paper's default design
+    (16000.0, 100.0, 4096),  # the measurement design of the benchmark
+])
+def test_pole_pair_kernel_matches_two_arctan2_reference_on_designs(fs, fd, n_fft):
+    sections = draw_sections(DesignParams(fs=fs, fd=fd, seed=0))
+    resp = cascade_phase(sections, fs, n_fft)
+    dev = np.max(np.abs(resp.phase_half - _two_arctan2_phase_half(sections, fs, n_fft)))
+    assert dev <= 1e-9
+    h = np.fft.irfft(np.exp(1j * resp.phase_half), n_fft)
+    assert np.max(np.abs(np.abs(np.fft.rfft(h)) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("count,n_fft", [(9, 512), (127, 1024), (128, 1024),
+                                         (129, 1024), (257, 1024)])
+@pytest.mark.parametrize("signs", ["causal", "anti-causal", "mixed"])
+def test_pole_pair_kernel_matches_two_arctan2_reference_across_blocks(count, n_fft, signs):
+    rng = np.random.default_rng(count)
+    time_signs = {"causal": np.ones(count, dtype=int),
+                  "anti-causal": -np.ones(count, dtype=int),
+                  "mixed": rng.choice([-1, 1], count)}[signs]
+    sections = [AllPassSection(f0, bw, int(sign)) for f0, bw, sign in zip(
+        rng.uniform(1.0, FS / 2 - 1.0, count), rng.uniform(0.5, 2000.0, count), time_signs)]
+    half = cascade_phase(sections, FS, n_fft).phase_half
+    assert np.max(np.abs(half - _two_arctan2_phase_half(sections, FS, n_fft))) <= 1e-9
 
 
 @pytest.mark.parametrize("f0,bw", [(440.0, 50.0), (1234.5, 200.0), (3500.0, 10.0)])

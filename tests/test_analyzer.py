@@ -1,6 +1,7 @@
 """Pulse compression, orthogonalization and the channel decomposition."""
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from capricep.analyzer import (
     compress,
@@ -72,6 +73,20 @@ def test_orthogonalize_zero_input_and_shape_guards():
         orthogonalize(q, B4[:3], 32)
     with pytest.raises(AnalysisError):
         compress(np.zeros(100), units, n_o=32)
+
+
+def test_compress_equals_fftconvolve_of_each_reversed_unit():
+    designs = derive_unit_designs(DesignParams(fs=16000.0, fd=100.0, seed=5))
+    units = [generate_unit(d) for d in designs]
+    rec = np.random.default_rng(5).standard_normal(37_501)
+    # units of differing lengths share one transform grid
+    mixed = [units[0], _delta_units(1, 16000.0)[0], units[1]]
+    for us in (units, mixed):
+        q = compress(rec, us, n_o=1111).q
+        for qm, u in zip(q, us):
+            ref = fftconvolve(rec, u.samples[::-1], mode="full")
+            assert qm.shape == ref.shape
+            assert np.max(np.abs(qm - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_find_alignment_on_clean_comb():

@@ -1,8 +1,13 @@
 """WAV round trips and malformed-file rejection."""
 import struct
+import tempfile
+import uuid
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from capricep.errors import SignalError
 from capricep.wavio import read_wav, write_wav
@@ -130,3 +135,100 @@ def test_pcm24_bytes_equal_the_per_sample_join(tmp_path):
     assert p.read_bytes()[44:] == expected
     write_wav(p, np.zeros(0), FS, "pcm24")
     assert read_wav(p)[0].size == 0
+
+
+def _subformat(code):
+    """Sub-format GUID KSDATAFORMAT_SUBTYPE_* in its on-disk byte order."""
+    return uuid.UUID(f"{code:08x}-0000-0010-8000-00aa00389b71").bytes_le
+
+
+def _extensible(plain: bytes, subformat: bytes, cb_size: int = 22) -> bytes:
+    """The plain 44-byte-header file rewritten with a 40-byte extensible fmt chunk."""
+    _, channels, rate, byte_rate, align, bits = struct.unpack("<HHIIHH", plain[20:36])
+    fmt = struct.pack("<HHIIHHHHI", 0xFFFE, channels, rate, byte_rate, align, bits,
+                      cb_size, bits, 0x4) + subformat
+    body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt + plain[36:]
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+@pytest.mark.parametrize("subtype,code", [("pcm16", 1), ("pcm24", 1), ("float32", 3)])
+def test_extensible_pcm_and_float_read_like_plain(wave, tmp_path, subtype, code):
+    p = tmp_path / "plain.wav"
+    write_wav(p, wave, FS, subtype)
+    plain, fs = read_wav(p)
+    p.write_bytes(_extensible(p.read_bytes(), _subformat(code)))
+    back, fs_ext = read_wav(p)
+    assert fs_ext == fs
+    assert np.array_equal(back, plain)
+
+
+@pytest.mark.parametrize("subformat,cb_size,keep,match", [
+    (_subformat(6), 22, 40, "sub-format"),  # A-law
+    (_subformat(1)[:-1] + b"\0", 22, 40, "sub-format"),  # PCM code, foreign GUID
+    (_subformat(1), 0, 40, "too short"),  # extension size below 22
+    (_subformat(1), 22, 18, "too short"),  # chunk ends after the extension size
+])
+def test_extensible_with_other_guid_or_short_extension_rejected(
+        wave, tmp_path, subformat, cb_size, keep, match):
+    p = tmp_path / "ext.wav"
+    write_wav(p, wave, FS, "pcm16")
+    raw = _extensible(p.read_bytes(), subformat, cb_size)
+    fmt = raw[20:20 + keep]
+    p.write_bytes(raw[:12] + b"fmt " + struct.pack("<I", keep) + fmt + raw[60:])
+    with pytest.raises(SignalError, match=match):
+        read_wav(p)
+
+
+def _read_or_signal_error(path, raw: bytes):
+    path.write_bytes(raw)
+    try:
+        x, _ = read_wav(path)
+    except SignalError:
+        return
+    assert x.dtype == np.float64 and x.ndim == 1
+
+
+_FUZZ = settings(max_examples=300, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_FUZZ
+@given(raw=st.one_of(
+    st.binary(max_size=200),
+    st.binary(max_size=200).map(lambda b: b"RIFF" + b[:4] + b"WAVE" + b[4:])))
+def test_fuzz_random_bytes_raise_only_signal_error(tmp_path, raw):
+    _read_or_signal_error(tmp_path / "fuzz.wav", raw)
+
+
+def _valid_files():
+    x = np.linspace(-0.9, 0.9, 7)
+    files = []
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "valid.wav"
+        for subtype, code in (("pcm16", 1), ("pcm24", 1), ("float32", 3)):
+            write_wav(p, x, FS, subtype)
+            files += [p.read_bytes(), _extensible(p.read_bytes(), _subformat(code))]
+    return files
+
+
+@_FUZZ
+@given(raw=st.sampled_from(_valid_files()), data=st.data())
+def test_fuzz_mutated_headers_raise_only_signal_error(tmp_path, raw, data):
+    raw = bytearray(raw)
+    header = len(raw) - 7 * raw[34] // 8  # offset of the 7 samples
+    kind = data.draw(st.sampled_from(["chunk id", "size", "format", "bytes", "truncate"]))
+    if kind == "chunk id":
+        at = data.draw(st.sampled_from([0, 8, 12, header - 8]))
+        raw[at:at + 4] = data.draw(st.binary(min_size=4, max_size=4))
+    elif kind == "size":
+        at = data.draw(st.sampled_from([4, 16, header - 4]))
+        raw[at:at + 4] = struct.pack("<I", data.draw(st.integers(0, 2**32 - 1)))
+    elif kind == "format":
+        at = data.draw(st.sampled_from([20, 22, 32, 34, 36, 38, 44]))
+        raw[at:at + 2] = struct.pack("<H", data.draw(st.integers(0, 2**16 - 1)))
+    elif kind == "bytes":
+        at = data.draw(st.integers(0, header - 1))
+        raw[at:at + 1] = data.draw(st.binary(min_size=1, max_size=1))
+    else:
+        del raw[data.draw(st.integers(0, len(raw))):]
+    _read_or_signal_error(tmp_path / "fuzz.wav", bytes(raw))
