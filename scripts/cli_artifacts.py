@@ -42,10 +42,12 @@ def _cases(out: Path, seed: int, fs: int, fd: int):
                              "--coarse-cmags", "1.0,1.19", "--coarse-alphas", "4,8"]),
         ("xcorr_stats", ["xcorr-stats", *common, "--count", "6"]),
     ]
-    for session, extra in (("session", []), ("session_n_o_300", ["--n-o", "300"])):
+    # the 6-cycle session gives the analyzer more than two usable cycles
+    for session, cycles, extra in (("session", 2, []), ("session_n_o_300", 2, ["--n-o", "300"]),
+                                   ("session_cycles_6", 6, [])):
         d = out / session
         cases += [
-            (session, ["make-signal", *common, "--cycles", "2", *extra]),
+            (session, ["make-signal", *common, "--cycles", str(cycles), *extra]),
             (f"{session}/simulate", ["simulate", "--signal", d / "test_signal.wav",
                                      "--system", out / "system.json",
                                      "--pre-silence-s", "0.5"]),

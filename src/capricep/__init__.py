@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .allpass import AllPassSection, CascadeResponse, cascade_phase, impulse_response, section_phase
+from .allpass import AllPassSection, CascadeResponse, cascade_phase, impulse_response
 from .design import (
     DesignParams,
     UnitCapricep,
@@ -20,7 +20,6 @@ __all__ = [
     "CascadeResponse",
     "cascade_phase",
     "impulse_response",
-    "section_phase",
     "DesignParams",
     "UnitCapricep",
     "draw_sections",

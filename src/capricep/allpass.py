@@ -67,29 +67,6 @@ class CascadeResponse:
     fft_length: int
     sample_rate_hz: float
 
-    @property
-    def phase_samples(self) -> np.ndarray:
-        """Full-length odd-symmetric phase array (length fft_length)."""
-        full = np.empty(self.fft_length)
-        half = self.phase_half
-        full[: len(half)] = half
-        full[len(half):] = -half[-2:0:-1]
-        return full
-
-
-def section_phase(section: AllPassSection, fs: float, n_fft: int) -> np.ndarray:
-    """Unwrapped phase of one section on the full n_fft grid (radians)."""
-    _check_n_fft(n_fft)
-    section.validate(fs)
-    half = _sections_phase_half(
-        np.array([section.center_freq_hz]),
-        np.array([section.bandwidth_hz]),
-        np.array([section.time_sign]),
-        fs,
-        n_fft,
-    )
-    return CascadeResponse(half, n_fft, fs).phase_samples
-
 
 def _sections_phase_half(
     centers: np.ndarray,

@@ -13,7 +13,10 @@ averaging across complete cycles, then the five-channel split:
 Orthogonalization uses the forward-shift (correlation) convention
 r[n] = (1/8) sum_k q[n + k*n_o] * b[k]: the reinforced pulses of every
 channel then share the phase-0 alignment, so the four channels can be
-averaged and compared sample-by-sample.
+averaged and compared sample-by-sample.  ``orthogonalize`` returns these
+full-length channels; ``decompose`` reads only one window per usable
+cycle, so it orthogonalizes just those windows, straight from the
+compressed channels, in the same order of float operations.
 """
 from __future__ import annotations
 
@@ -48,12 +51,9 @@ class CompressedSignals:
 @dataclass(frozen=True)
 class DecompositionResult:
     lti_raw: np.ndarray
-    lti_smoothed_spectrum: np.ndarray
     nonlinear_ti: np.ndarray
     random_tv: np.ndarray
-    background: np.ndarray
     levels_db: dict
-    fs: float
     n_ini: int
     omega_size: int
     background_valid: bool
@@ -124,13 +124,20 @@ def orthogonalize(
         n = len(qm)
         if n < 8 * n_o:
             raise AnalysisError("compressed signal shorter than one 8-cycle")
-        r = np.zeros(n)
         valid = n - 7 * n_o
-        for k in range(8):
-            r[:valid] += rows[m, k] * qm[k * n_o:k * n_o + valid]
-        r /= 8.0
-        r[valid:] = 0.0
+        r = np.zeros(n)
+        r[:valid] = _comb_sum([qm[k * n_o:k * n_o + valid] for k in range(8)], rows[m])
         out.append(r)
+    return out
+
+
+def _comb_sum(shifted, row: np.ndarray) -> np.ndarray:
+    """(1/8) sum_k row[k] * shifted[k], added in k order onto zeros, for
+    the eight comb-shifted views ``shifted`` of one compressed channel."""
+    out = np.zeros(shifted[0].shape)
+    for b, x in zip(row, shifted):
+        out += b * x
+    out /= 8.0
     return out
 
 
@@ -141,18 +148,8 @@ def synchronous_average(
     omega: list[int],
 ) -> np.ndarray:
     """Mean of the length-n_o windows at n_ini + 8*k*n_o, k in omega."""
-    windows = _cycle_windows(r_itr, n_ini, n_o, omega)
-    return windows.mean(axis=0)
-
-
-def _cycle_windows(
-    r_itr: np.ndarray,
-    n_ini: int,
-    n_o: int,
-    omega: list[int],
-) -> np.ndarray:
     if len(omega) == 0:
-        raise AnalysisError("recording too short for one clean cycle")
+        raise AnalysisError("no cycle to average")
     rows = []
     for k in omega:
         start = n_ini + 8 * k * n_o
@@ -161,7 +158,7 @@ def _cycle_windows(
                 f"cycle window [{start}, {start + n_o}) outside recording"
             )
         rows.append(r_itr[start:start + n_o])
-    return np.stack(rows)
+    return np.stack(rows).mean(axis=0)
 
 
 def usable_omega(
@@ -194,13 +191,19 @@ def decompose(
     if not np.isfinite(recorded).all():
         raise AnalysisError("recording contains NaN or inf samples")
     recorded = recorded / scale
-    fs = units[0].fs
     comp = compress(recorded, units, n_o)
     n_ini = comp.alignment
-    r_itr = orthogonalize(comp, B4, n_o)
     omega = usable_omega(n_o, n_repeats, n_ini, len(comp.q[0]))
+    if not omega:
+        raise AnalysisError("recording too short for one clean cycle")
 
-    r_m = [synchronous_average(r_itr[m], n_ini, n_o, omega) for m in range(3)]
+    # w[m, c] is channel m orthogonalized over usable cycle c's window:
+    # the B4-weighted sum of that cycle's eight slots, read as views of
+    # q_m (usable_omega keeps the span inside q_m).
+    span = slice(n_ini + 8 * n_o * omega[0], n_ini + 8 * n_o * (omega[-1] + 1))
+    w = np.stack([_comb_sum(qm[span].reshape(len(omega), 8, n_o).swapaxes(0, 1), row)
+                  for qm, row in zip(comp.q, B4)])
+    r_m = [w[m].mean(axis=0) for m in range(3)]
     lti_raw = (r_m[0] + r_m[1] + r_m[2]) / 3.0
 
     # The eight polarity-combination segments weight nonlinear products
@@ -214,55 +217,45 @@ def decompose(
     # Fourth channel: never part of the test signal, so it carries noise
     # and time variation only.  Power is kept per cycle (no waveform
     # averaging) and compensated for the orthogonalization gain.
-    w4 = _cycle_windows(r_itr[3], n_ini, n_o, omega)
+    w4 = w[3]
     random_tv = np.sqrt((w4 ** 2).mean(axis=0)) * _NOISE_GAIN_COMP
 
-    background, background_valid = _background_windows(
-        pre_silence, units[3].samples, n_o, scale)
-
-    levels = _level_table(
-        fs, n_o, lti_raw, dev_stack, w4, background, background_valid)
-
-    bg_array = (np.sqrt((background ** 2).mean(axis=0))
-                if background_valid else np.zeros(n_o))
+    background = _background_frames(pre_silence, units[3].samples, n_o, scale)
     return DecompositionResult(
         lti_raw=lti_raw,
-        lti_smoothed_spectrum=levels["lti_s_db"],
         nonlinear_ti=nonlinear_ti,
         random_tv=random_tv,
-        background=bg_array,
-        levels_db=levels,
-        fs=fs,
+        levels_db=_level_table(units[0].fs, n_o, lti_raw, dev_stack, w4, background),
         n_ini=n_ini,
         omega_size=len(omega),
-        background_valid=background_valid,
+        background_valid=background is not None,
     )
 
 
-def _background_windows(
+def _background_frames(
     pre_silence: np.ndarray | None,
     u4: np.ndarray,
     n_o: int,
     scale: float,
-) -> tuple[np.ndarray, bool]:
+) -> np.ndarray | None:
     """Silence segment through the channel-4 compression path, cut into
-    length-n_o frames.  Uses compression only (the segment is shorter
-    than an 8-cycle), so frames carry the same unit gain for noise as
-    the compensated channel-4 windows."""
+    length-n_o frames, or None when there is no usable silence.  Uses
+    compression only (the segment is shorter than an 8-cycle), so frames
+    carry the same unit gain for noise as the compensated channel-4
+    windows."""
     if pre_silence is None or len(pre_silence) < 2 * n_o:
-        return np.zeros((1, n_o)), False
+        return None
     silence = np.asarray(pre_silence, dtype=float)
     if not np.isfinite(silence).all():
         raise AnalysisError("pre-signal silence contains NaN or inf samples")
     if np.max(np.abs(silence)) >= 0.999 * max(1.0, scale):
-        return np.zeros((1, n_o)), False
+        return None
     silence = silence / scale
     qbg = fftconvolve(silence, u4[::-1], mode="valid")
     n_frames = len(qbg) // n_o
     if n_frames < 1:
-        return np.zeros((1, n_o)), False
-    frames = qbg[: n_frames * n_o].reshape(n_frames, n_o)
-    return frames, True
+        return None
+    return qbg[: n_frames * n_o].reshape(n_frames, n_o)
 
 
 def _level_table(
@@ -271,8 +264,7 @@ def _level_table(
     lti_raw: np.ndarray,
     dev_stack: np.ndarray,
     w4: np.ndarray,
-    background: np.ndarray,
-    background_valid: bool,
+    background: np.ndarray | None,
 ) -> dict:
     centers = third_octave_centers(fs)
     n_fft = next_pow2(max(256, 2 * n_o))
@@ -285,7 +277,7 @@ def _level_table(
     nonl_band = mean_band_powers(list(dev_stack), fs, centers, n_fft)
     rntv_raw_band = mean_band_powers(list(w4), fs, centers, n_fft) * 8.0
     bg_band = (mean_band_powers(list(background), fs, centers, n_fft)
-               if background_valid else np.zeros(len(centers)))
+               if background is not None else np.zeros(len(centers)))
     rntv_corr_band = np.maximum(rntv_raw_band - bg_band, 0.0)
 
     # Smoothed spectrum: per-band mean power (PSD smoothing), re-pinned

@@ -8,6 +8,7 @@ per-band spectral deviation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from scipy.stats import skew
 
 from .bands import band_level_deviation_db
 from .design import TERD_NOMINAL_RATIO, DesignParams, derive_unit_designs, generate_unit
-from .errors import SignalError
+from .errors import DesignError, SignalError
 
 SNR_CAP_DB = 150.0
 DEFAULT_T_ERD_S = 0.002
@@ -75,6 +76,8 @@ def augment(
         raise SignalError("empty input signal")
     if n_variants < 1:
         raise SignalError("n_variants must be at least 1")
+    if not (math.isfinite(t_erd_s) and t_erd_s > 0.0):
+        raise DesignError(f"t_erd_s={t_erd_s} must be finite and > 0")
     if base_params is None:
         base_params = DesignParams(
             fs=fs, fd=TERD_NOMINAL_RATIO / t_erd_s, seed=seed, truncation_factor=8.0)

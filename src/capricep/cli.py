@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .augment import augment
+from .augment import DEFAULT_T_ERD_S, augment
 from .analyzer import decompose
 from .design import (
     DEFAULT_ALPHA,
@@ -191,9 +191,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_augment(args) -> int:
     x, fs = read_wav(args.input)
-    t_erd = (args.terd_ms or 2.0) / 1000.0
     variants, report = augment(
-        x, fs, n_variants=args.n_variants, seed=args.seed, t_erd_s=t_erd)
+        x, fs, n_variants=args.n_variants, seed=args.seed, t_erd_s=args.terd_ms / 1000.0)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     peak = max(float(np.max(np.abs(v))) for v in variants)
     for i, v in enumerate(variants):
@@ -275,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", type=Path, required=True)
     p.add_argument("--n-variants", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--terd-ms", type=float, default=2.0)
+    p.add_argument("--terd-ms", type=float, default=DEFAULT_T_ERD_S * 1000.0,
+                   help="target rectangle duration of the variant units (ms)")
     p.add_argument("--out-dir", type=Path, default=Path("."))
     p.set_defaults(func=cmd_augment)
     return parser

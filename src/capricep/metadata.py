@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 from . import __version__
 from .design import DesignParams, UnitCapricep, generate_unit
-from .design import derive_unit_designs  # noqa: F401  (re-exported for session callers)
 from .errors import SignalError
 
 SCHEMA_VERSION = 1

@@ -21,11 +21,6 @@ B4 = np.array([
 _MAX_OVERLAP = 16
 
 
-def row_cyclic_autocorr(row: np.ndarray) -> np.ndarray:
-    """Normalized cyclic autocorrelation of one weight row (8 shifts)."""
-    return np.array([np.dot(row, np.roll(row, -s)) for s in range(8)]) / 8.0
-
-
 def default_n_o(unit: UnitCapricep) -> int:
     """Default repetition shift: one unit length (responses tile the period)."""
     return len(unit.samples)

@@ -91,6 +91,8 @@ def read_wav(path) -> tuple[np.ndarray, float]:
     if channels != 1:
         raise SignalError(
             f"{path}: {channels}-channel WAV not supported; provide mono input")
+    if rate == 0:
+        raise SignalError(f"{path}: sample rate of 0 Hz")
     if (audio_format, bits) not in _SUPPORTED:
         raise SignalError(
             f"{path}: unsupported format (code={audio_format}, bits={bits})")

@@ -15,12 +15,12 @@ from capricep.augment import augment
 from capricep.cli import main
 from capricep.design import (
     DesignParams,
+    derive_unit_designs,
     draw_sections,
     first_order_count,
     generate_ensemble,
     generate_unit,
 )
-from capricep.metadata import derive_unit_designs
 from capricep.sequences import B4, build_sequence, build_test_signal, default_n_repeats
 from capricep.shaping import optimize_terd, pairwise_max_xcorr
 from capricep.simulator import VirtualSystem, run

@@ -4,6 +4,8 @@ import pytest
 from scipy.signal import fftconvolve
 
 from capricep.analyzer import (
+    _background_frames,
+    _level_table,
     compress,
     decompose,
     find_alignment,
@@ -11,14 +13,13 @@ from capricep.analyzer import (
     synchronous_average,
     usable_omega,
 )
-from capricep.design import DesignParams, UnitCapricep, generate_unit
+from capricep.design import DesignParams, UnitCapricep, derive_unit_designs, generate_unit
 from capricep.errors import AnalysisError
-from capricep.metadata import derive_unit_designs
 from capricep.sequences import (
     B4,
     build_sequence,
     build_test_signal,
-    row_cyclic_autocorr,
+    default_n_repeats,
 )
 from capricep.simulator import VirtualSystem, run
 
@@ -30,6 +31,16 @@ def _delta_units(n=4, fs=1000.0):
     return [UnitCapricep(samples=samples.copy(), fs=fs, center_index=0,
                          t_erd_s=0.001, design=design, sections=[])
             for _ in range(n)]
+
+
+def row_cyclic_autocorr(row: np.ndarray) -> np.ndarray:
+    """Normalized cyclic autocorrelation of one weight row (8 shifts)."""
+    return np.array([np.dot(row, np.roll(row, -s)) for s in range(8)]) / 8.0
+
+
+def test_row_cyclic_autocorr_of_constant_row():
+    assert np.array_equal(row_cyclic_autocorr(B4[0]), np.ones(8))
+    assert row_cyclic_autocorr(B4[1])[0] == 1.0
 
 
 def test_cross_channel_leakage_is_numerically_zero():
@@ -182,3 +193,52 @@ def test_decompose_without_silence_marks_background_invalid():
     session = (units, len(units[0].samples), 8 * 5)
     result = decompose(build_test_signal(*session), None, *session)
     assert not result.background_valid
+
+
+def _decompose_reference(recorded, pre_silence, units, n_o, n_repeats, scale):
+    """The channels and level table rebuilt the long way round: the
+    full-length ``orthogonalize`` channels, then one ``synchronous_average``
+    and one copied window per usable cycle."""
+    comp = compress(np.asarray(recorded, dtype=float) / scale, units, n_o)
+    n_ini = comp.alignment
+    r_itr = orthogonalize(comp, B4, n_o)
+    omega = usable_omega(n_o, n_repeats, n_ini, len(comp.q[0]))
+    r_m = [synchronous_average(r_itr[m], n_ini, n_o, omega) for m in range(3)]
+    lti_raw = (r_m[0] + r_m[1] + r_m[2]) / 3.0
+    dev_stack = np.stack([rm - lti_raw for rm in r_m])
+    w4 = np.stack([r_itr[3][n_ini + 8 * k * n_o:n_ini + 8 * k * n_o + n_o] for k in omega])
+    background = _background_frames(pre_silence, units[3].samples, n_o, scale)
+    levels = _level_table(units[0].fs, n_o, lti_raw, dev_stack, w4, background)
+    return (lti_raw, np.sqrt((dev_stack ** 2).mean(axis=0)),
+            np.sqrt((w4 ** 2).mean(axis=0)) * np.sqrt(8.0), levels, len(omega))
+
+
+@pytest.mark.parametrize("fs,fd,cycles,seed", [(8000.0, 250.0, 4, 21), (16000.0, 100.0, 3, 22)])
+def test_decompose_equals_full_length_orthogonalize_then_average(fs, fd, cycles, seed):
+    units = [generate_unit(d) for d in derive_unit_designs(DesignParams(fs=fs, fd=fd, seed=seed))]
+    session = (units, len(units[0].samples), default_n_repeats(cycles))
+    scale = 0.4
+    system = VirtualSystem(lti_ir=(1.0, 0.0, -0.3, 0.1), nl_coeffs=(1.0, 0.0, 0.05),
+                           noise_level_db=-60.0, drift=(2.0, 0.1),
+                           latency_samples=123, noise_seed=seed)
+    rec, pre = run(system, build_test_signal(*session) * scale, fs, pre_silence_s=0.5)
+    for silence in (pre, None):
+        result = decompose(rec, silence, *session, scale=scale)
+        lti_raw, nonl, rntv, levels, n_cycles = _decompose_reference(
+            rec, silence, *session, scale)
+        assert result.omega_size == n_cycles >= 3
+        assert result.background_valid == (silence is not None)
+        assert np.array_equal(result.lti_raw, lti_raw)
+        assert np.array_equal(result.nonlinear_ti, nonl)
+        assert np.array_equal(result.random_tv, rntv)
+        assert result.levels_db.keys() == levels.keys()
+        for key, column in levels.items():
+            assert np.array_equal(result.levels_db[key], column), key
+
+
+def test_decompose_without_usable_cycle_raises():
+    fs = 8000.0
+    units = [generate_unit(d) for d in derive_unit_designs(DesignParams(fs=fs, fd=250.0, seed=13))]
+    session = (units, len(units[0].samples), 16)  # warm-up and cool-down only
+    with pytest.raises(AnalysisError, match="one clean cycle"):
+        decompose(build_test_signal(*session), None, *session)

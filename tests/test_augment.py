@@ -5,7 +5,7 @@ from scipy.signal import fftconvolve
 
 from capricep.augment import SNR_CAP_DB, augment
 from capricep.design import DesignParams, derive_unit_designs, generate_unit
-from capricep.errors import SignalError
+from capricep.errors import DesignError, SignalError
 
 FS = 16000.0
 
@@ -87,3 +87,12 @@ def test_bad_inputs_rejected():
         augment(np.array([]), FS)
     with pytest.raises(SignalError):
         augment(np.ones(100), FS, n_variants=0)
+
+
+@pytest.mark.parametrize("t_erd_s", [0.0, -0.001, float("nan"), float("inf")])
+def test_non_finite_or_non_positive_t_erd_rejected(t_erd_s):
+    with pytest.raises(DesignError, match="t_erd_s"):
+        augment(np.ones(100), FS, t_erd_s=t_erd_s)
+    identity = DesignParams(fs=FS, fd=FS, seed=0)
+    with pytest.raises(DesignError, match="t_erd_s"):
+        augment(np.ones(100), FS, base_params=identity, t_erd_s=t_erd_s)

@@ -167,6 +167,34 @@ def test_augment_outputs(tmp_path):
     assert len(lines) == 3
 
 
+def _short_input(tmp_path):
+    x = np.random.default_rng(0).standard_normal(800) * 0.1
+    write_wav(tmp_path / "input.wav", x, 8000.0, "float32")
+    return tmp_path / "input.wav"
+
+
+def test_augment_rejects_zero_sample_rate(tmp_path, capsys):
+    raw = bytearray(_short_input(tmp_path).read_bytes())
+    raw[24:28] = bytes(4)  # the fmt chunk's sample-rate field
+    (tmp_path / "rate0.wav").write_bytes(bytes(raw))
+    rc = main(["augment", "--input", str(tmp_path / "rate0.wav"),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "sample rate" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("terd_ms", ["0", "-1"])
+def test_augment_rejects_non_positive_terd(tmp_path, capsys, terd_ms):
+    rc = main(["augment", "--input", str(_short_input(tmp_path)),
+               "--terd-ms", terd_ms, "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "t_erd_s" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_file_is_data_error(tmp_path):
     rc = main(["simulate", "--signal", str(tmp_path / "absent.wav"),
                "--system", str(tmp_path / "absent.json"),

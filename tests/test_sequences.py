@@ -12,9 +12,8 @@ from capricep.bands import (
     third_octave_centers,
     to_db,
 )
-from capricep.design import DesignParams, UnitCapricep, generate_unit
+from capricep.design import DesignParams, UnitCapricep, derive_unit_designs, generate_unit
 from capricep.errors import SignalError
-from capricep.metadata import derive_unit_designs
 from capricep.sequences import (
     B4,
     build_sequence,
@@ -22,7 +21,6 @@ from capricep.sequences import (
     check_session,
     default_n_o,
     default_n_repeats,
-    row_cyclic_autocorr,
 )
 
 
@@ -50,11 +48,6 @@ def test_rows_orthogonal_at_every_cyclic_shift():
                     assert ip == 8
                 elif i != j:
                     assert ip == 0
-
-
-def test_row_cyclic_autocorr_of_constant_row():
-    assert np.array_equal(row_cyclic_autocorr(B4[0]), np.ones(8))
-    assert row_cyclic_autocorr(B4[1])[0] == 1.0
 
 
 def test_delta_unit_sequence_is_weighted_pulse_train():
