@@ -5,19 +5,36 @@ The magnitude spectrum is preserved (all-pass), so the variants sound
 like the original while their waveforms differ grossly; the report
 quantifies that with per-variant SNR, amplitude histograms and
 per-band spectral deviation.
+
+The input is transformed once.  On a grid of nf = next_fast_len(len(x)
++ len(y) - 1) points, where len(y) = len(x) + len(u) - 1, a variant's
+spectrum is Y = X·U and its cross-spectrum with the input is
+Y·conj(X) = |X|²·U.  Both products are then free of circular wrap, so
+irfft(X·U) is the full linear convolution and irfft(|X|²·U) holds every
+lag of the SNR alignment search, the negative ones in its wrapped tail.
+X and |X|² are computed once per call; each variant costs one rfft of
+its unit and two irffts.  Band levels stay on their own report grid,
+next_pow2(len(y)), where the input's band powers are also computed once.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import fftconvolve
+import scipy.fft
+from scipy.signal import fftconvolve  # noqa: F401  unused; perfbench/spans.py patches it by name
 from scipy.stats import skew
 
-from .bands import band_level_deviation_db
-from .design import TERD_NOMINAL_RATIO, DesignParams, derive_unit_designs, generate_unit
-from .errors import DesignError, SignalError
+from . import bands
+from .allpass import next_pow2
+from .design import (
+    TERD_NOMINAL_RATIO,
+    DesignParams,
+    derive_unit_designs,
+    generate_unit,
+    validate_t_erd,
+)
+from .errors import SignalError
 
 SNR_CAP_DB = 150.0
 DEFAULT_T_ERD_S = 0.002
@@ -33,10 +50,22 @@ class AugmentReport:
     skewness: np.ndarray  # original prepended: length n_variants + 1
 
 
-def _aligned_snr_db(x: np.ndarray, y: np.ndarray) -> float:
-    """SNR after optimal integer-lag and scalar-gain alignment."""
-    cc = fftconvolve(y, x[::-1], mode="full")
-    lag = int(np.argmax(np.abs(cc))) - (len(x) - 1)
+def _aligned_snr_db(x: np.ndarray, y: np.ndarray, cc: np.ndarray) -> float:
+    """SNR after optimal integer-lag and scalar-gain alignment.
+
+    ``cc`` is the circular cross-correlation irfft(Y·conj(X)) on a grid
+    of at least len(x) + len(y) - 1 points: lag l >= 0 sits at cc[l] and
+    lag -l at cc[len(cc) - l].  It is overwritten.  Ties go to the most
+    negative lag, as an argmax over lags -(len(x) - 1) .. len(y) - 1.
+    """
+    n = len(x)
+    mag = np.abs(cc, out=cc)
+    lag = int(np.argmax(mag[:len(y)]))
+    if n > 1:
+        tail = mag[len(cc) - (n - 1):]
+        k = int(np.argmax(tail))
+        if tail[k] >= mag[lag]:
+            lag = k - (n - 1)
     if lag >= 0:
         ya = y[lag:lag + len(x)]
     else:
@@ -74,37 +103,57 @@ def augment(
     x = np.asarray(signal, dtype=float)
     if x.size == 0:
         raise SignalError("empty input signal")
+    if not np.isfinite(x).all():
+        raise SignalError("input signal has non-finite (NaN or inf) samples")
+    if not x.any():
+        raise SignalError("input signal is silent (every sample is 0)")
     if n_variants < 1:
         raise SignalError("n_variants must be at least 1")
-    if not (math.isfinite(t_erd_s) and t_erd_s > 0.0):
-        raise DesignError(f"t_erd_s={t_erd_s} must be finite and > 0")
+    validate_t_erd(t_erd_s)
     if base_params is None:
         base_params = DesignParams(
             fs=fs, fd=TERD_NOMINAL_RATIO / t_erd_s, seed=seed, truncation_factor=8.0)
 
     identity = base_params.fd >= fs / 2.0
+    n = len(x)
     peak = float(np.max(np.abs(x))) or 1.0
     edges = np.linspace(-1.0, 1.0, HISTOGRAM_BINS + 1)
+    centers = bands.third_octave_centers(fs)
 
     variants: list[np.ndarray] = []
     snrs = np.empty(n_variants)
     hists = [_histogram(x / peak, edges)]
     deltas = []
     skews = [float(skew(x))]
+    # The input's spectra are taken once per grid.  All units of one call
+    # have the same length, so that is once per call.
+    n_y = n_report = 0
     # Variants derive from ``seed`` even when base_params carries another.
     designs = derive_unit_designs(replace(base_params, seed=seed), n_variants)
     for i, p in enumerate(designs):
         if identity:
             y = x.copy()
+            snrs[i] = SNR_CAP_DB
         else:
-            unit = generate_unit(p, t_erd_s)
-            y = fftconvolve(x, unit.samples, mode="full")
+            u = generate_unit(p, t_erd_s).samples
+            if n + len(u) - 1 != n_y:
+                n_y = n + len(u) - 1
+                nf = scipy.fft.next_fast_len(n + n_y - 1, True)
+                spec_x = scipy.fft.rfft(x, nf)
+                power_x = spec_x.real ** 2 + spec_x.imag ** 2
+            spec_u = scipy.fft.rfft(u, nf)
+            # A copy, so the nf-point buffer is not kept alive by a view.
+            y = scipy.fft.irfft(spec_x * spec_u, nf)[:n_y].copy()
+            snrs[i] = _aligned_snr_db(x, y, scipy.fft.irfft(power_x * spec_u, nf))
         variants.append(y)
-        snrs[i] = _aligned_snr_db(x, y)
         hists.append(_histogram(y / peak, edges))
         skews.append(float(skew(y)))
-        xi = np.concatenate([x, np.zeros(len(y) - len(x))]) if len(y) > len(x) else x
-        deltas.append(band_level_deviation_db(xi, y, fs))
+        if next_pow2(len(y)) != n_report:
+            n_report = next_pow2(len(y))
+            px = bands.band_powers(x, fs, centers, n_report)
+            keep = px > 0
+        py = bands.band_powers(y, fs, centers, n_report)
+        deltas.append(bands.to_db(py[keep]) - bands.to_db(px[keep]))
 
     report = AugmentReport(
         snr_db=snrs,

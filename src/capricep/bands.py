@@ -3,8 +3,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .allpass import next_pow2
-
 _DB_FLOOR = -300.0
 
 
@@ -55,14 +53,3 @@ def to_db(power: np.ndarray, reference: float = 1.0) -> np.ndarray:
     with np.errstate(divide="ignore"):
         db = 10.0 * np.log10(np.maximum(ratio, 0.0))
     return np.maximum(db, _DB_FLOOR)
-
-
-def band_level_deviation_db(x: np.ndarray, y: np.ndarray, fs: float,
-                            f_low: float = 25.0) -> np.ndarray:
-    """Per-band level difference 10 log10(Py / Px), same length inputs."""
-    centers = third_octave_centers(fs, f_low)
-    n_fft = next_pow2(max(len(x), len(y)))
-    px = band_powers(x, fs, centers, n_fft)
-    py = band_powers(y, fs, centers, n_fft)
-    keep = px > 0
-    return to_db(py[keep]) - to_db(px[keep])

@@ -29,7 +29,7 @@ from .design import (
     generate_unit,
     raised_cosine_short_params,
 )
-from .errors import CapricepError
+from .errors import CapricepError, DesignError
 from .metadata import SessionMetadata
 from .sequences import build_test_signal, default_n_o, default_n_repeats
 from .shaping import coarse_search, optimize_terd, pairwise_max_xcorr
@@ -85,12 +85,23 @@ def cmd_design(args) -> int:
     return 0
 
 
+def _float_list(text: str, flag: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise DesignError(f"{flag} must be a comma list of numbers, got {text!r}") from None
+
+
 def cmd_optimize(args) -> int:
     params = _params(args)
+    steps = (args.grid_min, args.grid_max, args.grid_step)
+    if not (np.isfinite(steps).all() and args.grid_step > 0.0):
+        raise DesignError("--grid-min, --grid-max and --grid-step must be finite "
+                          f"and --grid-step > 0, got {steps}")
     args.out_dir.mkdir(parents=True, exist_ok=True)
     if args.coarse_cmags:
-        cmags = [float(v) for v in args.coarse_cmags.split(",")]
-        alphas = [float(v) for v in args.coarse_alphas.split(",")]
+        cmags = _float_list(args.coarse_cmags, "--coarse-cmags")
+        alphas = _float_list(args.coarse_alphas, "--coarse-alphas")
         rows = coarse_search(cmags, alphas, params, args.units)
         out = args.out_dir / "coarse_search.csv"
         with open(out, "w", newline="") as f:

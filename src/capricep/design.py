@@ -10,6 +10,7 @@ conjugate pole pair, i.e. two cascaded first-order all-pass filters;
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,6 +40,9 @@ class DesignParams:
     truncation_factor: float = DEFAULT_TRUNCATION
 
     def validate(self) -> None:
+        values = (self.fs, self.fd, self.alpha, self.beta, self.cmag, self.truncation_factor)
+        if not all(math.isfinite(v) for v in values):
+            raise DesignError("fs, fd, alpha, beta, cmag and truncation_factor must be finite")
         if not 0.0 < self.fd < self.fs / 2.0:
             raise DesignError(f"fd={self.fd} outside (0, fs/2)")
         if self.alpha <= 0 or self.beta <= 0 or self.cmag <= 0:
@@ -146,11 +150,18 @@ def draw_sections(params: DesignParams) -> list[AllPassSection]:
     ]
 
 
+def validate_t_erd(t_erd_s: float) -> None:
+    """Reject a target rectangle duration that is not finite and > 0."""
+    if not (math.isfinite(t_erd_s) and t_erd_s > 0.0):
+        raise DesignError(f"t_erd_s={t_erd_s} must be finite and > 0")
+
+
 def _render_unit(
     sections: list[AllPassSection],
     params: DesignParams,
     t_erd_s: float,
 ) -> UnitCapricep:
+    validate_t_erd(t_erd_s)
     fs = params.fs
     n_keep = int(round(params.truncation_factor * t_erd_s * fs))
     if n_keep < 2:
@@ -180,8 +191,6 @@ def generate_unit(params: DesignParams, t_erd_s: float | None = None) -> UnitCap
     params.validate()
     if t_erd_s is None:
         t_erd_s = params.nominal_t_erd()
-    if t_erd_s <= 0:
-        raise DesignError("t_erd_s must be positive")
     return _render_unit(draw_sections(params), params, t_erd_s)
 
 

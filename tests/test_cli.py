@@ -195,6 +195,47 @@ def test_augment_rejects_non_positive_terd(tmp_path, capsys, terd_ms):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("bad,message", [
+    ("nan", "non-finite"), ("inf", "non-finite"), ("silence", "silent")])
+def test_augment_rejects_non_finite_or_silent_input(tmp_path, capsys, bad, message):
+    x = np.random.default_rng(0).standard_normal(800) * 0.1
+    if bad == "silence":
+        x[:] = 0.0
+    else:
+        x[400] = float(bad)
+    write_wav(tmp_path / "bad.wav", x, 8000.0, "float32")
+    rc = main(["augment", "--input", str(tmp_path / "bad.wav"),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["design", *FAST, "--truncation", "inf"], "must be finite"),
+    (["design", *FAST, "--alpha", "nan"], "must be finite"),
+    (["design", *FAST, "--cmag", "inf"], "must be finite"),
+    (["design", *FAST, "--terd-ms", "nan"], "t_erd_s"),
+    (["design", *FAST, "--terd-ms", "inf"], "t_erd_s"),
+    (["design", "--fs", "44100", "--fd", "250", "--composite", "--terd-ms", "nan"],
+     "t_erd_s"),
+    (["optimize", *FAST, "--units", "2", "--grid-step", "0"], "--grid-step"),
+    (["optimize", *FAST, "--units", "2", "--grid-step", "-0.05"], "--grid-step"),
+    (["optimize", *FAST, "--units", "2", "--grid-min", "nan"], "--grid-step"),
+    (["optimize", *FAST, "--units", "2", "--grid-max", "inf"], "--grid-step"),
+    (["optimize", *FAST, "--units", "2", "--coarse-cmags", "1.0,abc"], "--coarse-cmags"),
+    (["optimize", *FAST, "--units", "2", "--coarse-cmags", "1.0",
+      "--coarse-alphas", "8,x"], "--coarse-alphas"),
+])
+def test_non_finite_or_malformed_design_inputs_exit_1(tmp_path, capsys, argv, message):
+    rc = main([*argv, "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not list((tmp_path / "out").glob("*.*"))
+
+
 def test_missing_file_is_data_error(tmp_path):
     rc = main(["simulate", "--signal", str(tmp_path / "absent.wav"),
                "--system", str(tmp_path / "absent.json"),

@@ -1,5 +1,6 @@
 """Randomized unit design: section draws, rendering, serialization."""
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,3 +145,11 @@ def test_density_above_nyquist_rejected():
 def test_invalid_params_rejected(kw):
     with pytest.raises(DesignError):
         DesignParams(seed=0, **kw).validate()
+
+
+@pytest.mark.parametrize("field", ["fs", "fd", "alpha", "beta", "cmag", "truncation_factor"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_params_rejected(field, value):
+    params = DesignParams(fs=8000.0, fd=40.0, seed=0)
+    with pytest.raises(DesignError, match="must be finite"):
+        replace(params, **{field: value}).validate()

@@ -6,7 +6,6 @@ import pytest
 
 from capricep.bands import (
     band_edges,
-    band_level_deviation_db,
     band_powers,
     mean_band_powers,
     third_octave_centers,
@@ -171,8 +170,3 @@ def test_band_powers_equal_the_boolean_mask_sums(fs, n, n_fft):
     assert np.array_equal(band_powers(frames[0], fs, centers, n_fft), expected[0])
     assert np.array_equal(mean_band_powers(list(frames), fs, centers, n_fft),
                           (0.0 + expected[0] + expected[1] + expected[2]) / 3)
-
-
-def test_band_level_deviation_of_one_sample_is_empty():
-    x = np.array([0.5])
-    assert band_level_deviation_db(x, x, 8000.0).size == 0
