@@ -10,6 +10,10 @@ averaging across complete cycles, then the five-channel split:
   RNTV    level of the fourth (never-played) channel
   pre-BG  background noise measured on the pre-signal silence
 
+Compression is overlap-save convolution (``fftconv.OverlapSave``): the
+recording is cut into frames and transformed once, and each reversed
+unit then costs one short rfft and one batched irfft over the frames.
+
 Orthogonalization uses the forward-shift (correlation) convention
 r[n] = (1/8) sum_k q[n + k*n_o] * b[k]: the reinforced pulses of every
 channel then share the phase-0 alignment, so the four channels can be
@@ -23,13 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 from scipy.signal import fftconvolve
 
 from .allpass import next_pow2
 from .bands import band_bins, mean_band_powers, third_octave_centers, to_db
 from .design import UnitCapricep
 from .errors import AnalysisError
+from .fftconv import OverlapSave
 from .sequences import B4, check_session
 
 # Pre-roll (fraction of n_o) between window start and the pulse peak so
@@ -67,20 +71,17 @@ def compress(
     """Correlate the recording with each unit (time-reversed convolution).
 
     Each q[m] is the full linear convolution of the recording with the
-    reversed unit m.  The recording is transformed once, on a grid long
-    enough for the longest unit, and every unit reuses its spectrum.
+    reversed unit m.  The recording is framed and transformed once, for
+    the longest unit, and every unit reuses its spectrum.
     """
     recorded = np.asarray(recorded, dtype=float)
     if len(recorded) < 8 * n_o:
         raise AnalysisError(
             f"recording too short: {len(recorded)} samples, need >= {8 * n_o}"
         )
-    n_fft = scipy.fft.next_fast_len(
-        len(recorded) + max(len(u.samples) for u in units) - 1, True)
-    rec_spec = scipy.fft.rfft(recorded, n_fft)
-    q = [scipy.fft.irfft(rec_spec * scipy.fft.rfft(u.samples[::-1], n_fft), n_fft)
-         [: len(recorded) + len(u.samples) - 1] for u in units]
-    del rec_spec  # freed before find_alignment allocates its work arrays
+    framed = OverlapSave(recorded, max(len(u.samples) for u in units))
+    q = [framed.convolve(u.samples[::-1]) for u in units]
+    del framed  # freed before find_alignment allocates its work arrays
     return CompressedSignals(q=q, alignment=find_alignment(q[0], n_o))
 
 

@@ -6,18 +6,20 @@ like the original while their waveforms differ grossly; the report
 quantifies that with per-variant SNR, amplitude histograms and
 per-band spectral deviation.
 
-The input is transformed once.  On a grid of nf = next_fast_len(len(x)
-+ len(y) - 1) points, where len(y) = len(x) + len(u) - 1, a variant's
-spectrum is Y = X·U and its cross-spectrum with the input is
-Y·conj(X) = |X|²·U.  Both products are then free of circular wrap, so
-irfft(X·U) is the full linear convolution and irfft(|X|²·U) holds every
-lag of the SNR alignment search, the negative ones in its wrapped tail.
-X and |X|² are computed once per call; each variant costs one rfft of
-its unit and two irffts.  Band levels stay on their own report grid,
-next_pow2(len(y)), where the input's band powers are also computed once.
+Every variant's unit is short, so the input is framed and transformed
+once, for the longest unit, by overlap-save (``fftconv.OverlapSave``),
+and so is its linear autocorrelation r_xx at lags -(n-1) .. n-1, taken
+with one FFT pair.  A variant y = x * u then costs one short rfft of u
+and two batched irffts: y itself, and its cross-correlation with the
+input, r_xx * u, which holds every lag of the SNR alignment search in
+order, -(n-1) .. len(y)-1.  Band levels stay on their own report grid,
+next_pow2 of the longest variant, where the input's band powers are
+computed once.  A variant whose design fits fewer than two sections
+below Nyquist, like a base design with fd >= fs/2, is the identity.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,7 +36,8 @@ from .design import (
     generate_unit,
     validate_t_erd,
 )
-from .errors import SignalError
+from .errors import SignalError, TooFewSectionsError
+from .fftconv import OverlapSave
 
 SNR_CAP_DB = 150.0
 DEFAULT_T_ERD_S = 0.002
@@ -53,19 +56,11 @@ class AugmentReport:
 def _aligned_snr_db(x: np.ndarray, y: np.ndarray, cc: np.ndarray) -> float:
     """SNR after optimal integer-lag and scalar-gain alignment.
 
-    ``cc`` is the circular cross-correlation irfft(Y·conj(X)) on a grid
-    of at least len(x) + len(y) - 1 points: lag l >= 0 sits at cc[l] and
-    lag -l at cc[len(cc) - l].  It is overwritten.  Ties go to the most
-    negative lag, as an argmax over lags -(len(x) - 1) .. len(y) - 1.
+    ``cc`` is the linear cross-correlation of y with x in lag order,
+    lags -(len(x) - 1) .. len(y) - 1; it is overwritten.  A tie goes to
+    the most negative lag, the first maximum of |cc|.
     """
-    n = len(x)
-    mag = np.abs(cc, out=cc)
-    lag = int(np.argmax(mag[:len(y)]))
-    if n > 1:
-        tail = mag[len(cc) - (n - 1):]
-        k = int(np.argmax(tail))
-        if tail[k] >= mag[lag]:
-            lag = k - (n - 1)
+    lag = int(np.argmax(np.abs(cc, out=cc))) - (len(x) - 1)
     if lag >= 0:
         ya = y[lag:lag + len(x)]
     else:
@@ -87,6 +82,31 @@ def _histogram(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return counts / max(1, len(x))
 
 
+def _skewness(x: np.ndarray) -> float:
+    """Sample skewness, 0.0 for a signal without variance (a constant or
+    a single sample), where scipy returns NaN."""
+    s = float(skew(x))
+    return 0.0 if math.isnan(s) else s
+
+
+def _unit_or_identity(p: DesignParams, t_erd_s: float) -> np.ndarray | None:
+    """The samples of the unit of design ``p``, or None (the identity)
+    when the design draws fewer than two sections below Nyquist."""
+    try:
+        return generate_unit(p, t_erd_s).samples
+    except TooFewSectionsError:
+        return None
+
+
+def _autocorrelation(x: np.ndarray) -> np.ndarray:
+    """Linear autocorrelation of x at lags -(n-1) .. n-1, in lag order."""
+    n = len(x)
+    nf = scipy.fft.next_fast_len(2 * n - 1, True)
+    spec = scipy.fft.rfft(x, nf)
+    r = scipy.fft.irfft(spec.real ** 2 + spec.imag ** 2, nf)
+    return np.concatenate([r[nf - (n - 1):], r[:n]])
+
+
 def augment(
     signal: np.ndarray,
     fs: float,
@@ -98,7 +118,8 @@ def augment(
     """Filter the input with n_variants independent units.
 
     A base design with no section below Nyquist (fd >= fs/2) is the
-    identity: variants equal the input bit-exactly.
+    identity: variants equal the input bit-exactly.  So is each variant
+    whose own design draws fewer than two sections below Nyquist.
     """
     x = np.asarray(signal, dtype=float)
     if x.size == 0:
@@ -115,43 +136,39 @@ def augment(
             fs=fs, fd=TERD_NOMINAL_RATIO / t_erd_s, seed=seed, truncation_factor=8.0)
 
     identity = base_params.fd >= fs / 2.0
-    n = len(x)
     peak = float(np.max(np.abs(x))) or 1.0
     edges = np.linspace(-1.0, 1.0, HISTOGRAM_BINS + 1)
     centers = bands.third_octave_centers(fs)
 
+    # Variants derive from ``seed`` even when base_params carries another.
+    designs = derive_unit_designs(replace(base_params, seed=seed), n_variants)
+    units = [None if identity else _unit_or_identity(p, t_erd_s) for p in designs]
+    filtered = [u for u in units if u is not None]
+    m = max(map(len, filtered), default=1)
+    if filtered:
+        framed_x = OverlapSave(x, m)
+        framed_r = OverlapSave(_autocorrelation(x), m)
+    # One report grid for every variant, the longest one's, so identity
+    # variants among filtered ones report on the same bands.
+    n_report = next_pow2(len(x) + m - 1)
+    px = bands.band_powers(x, fs, centers, n_report)
+    keep = px > 0
+
     variants: list[np.ndarray] = []
     snrs = np.empty(n_variants)
     hists = [_histogram(x / peak, edges)]
+    skews = [_skewness(x)]
     deltas = []
-    skews = [float(skew(x))]
-    # The input's spectra are taken once per grid.  All units of one call
-    # have the same length, so that is once per call.
-    n_y = n_report = 0
-    # Variants derive from ``seed`` even when base_params carries another.
-    designs = derive_unit_designs(replace(base_params, seed=seed), n_variants)
-    for i, p in enumerate(designs):
-        if identity:
+    for i, u in enumerate(units):
+        if u is None:
             y = x.copy()
             snrs[i] = SNR_CAP_DB
         else:
-            u = generate_unit(p, t_erd_s).samples
-            if n + len(u) - 1 != n_y:
-                n_y = n + len(u) - 1
-                nf = scipy.fft.next_fast_len(n + n_y - 1, True)
-                spec_x = scipy.fft.rfft(x, nf)
-                power_x = spec_x.real ** 2 + spec_x.imag ** 2
-            spec_u = scipy.fft.rfft(u, nf)
-            # A copy, so the nf-point buffer is not kept alive by a view.
-            y = scipy.fft.irfft(spec_x * spec_u, nf)[:n_y].copy()
-            snrs[i] = _aligned_snr_db(x, y, scipy.fft.irfft(power_x * spec_u, nf))
+            y = framed_x.convolve(u)
+            snrs[i] = _aligned_snr_db(x, y, framed_r.convolve(u))
         variants.append(y)
         hists.append(_histogram(y / peak, edges))
-        skews.append(float(skew(y)))
-        if next_pow2(len(y)) != n_report:
-            n_report = next_pow2(len(y))
-            px = bands.band_powers(x, fs, centers, n_report)
-            keep = px > 0
+        skews.append(_skewness(y))
         py = bands.band_powers(y, fs, centers, n_report)
         deltas.append(bands.to_db(py[keep]) - bands.to_db(px[keep]))
 

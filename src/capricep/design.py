@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .allpass import AllPassSection, cascade_phase, impulse_response, next_pow2
-from .errors import DesignError
+from .errors import DesignError, TooFewSectionsError
 
 DEFAULT_CMAG = 2.0 ** 0.25
 DEFAULT_ALPHA = 8.0
@@ -139,7 +139,7 @@ def draw_sections(params: DesignParams) -> list[AllPassSection]:
         freqs = np.concatenate([freqs, freqs[-1] + np.cumsum(more)])
     freqs = freqs[freqs < nyquist]
     if len(freqs) < 2:
-        raise DesignError(
+        raise TooFewSectionsError(
             f"fd={params.fd} too large: only {len(freqs)} sections fit below Nyquist"
         )
     signs = np.where(rng.random(len(freqs)) < 0.5, 1, -1)
@@ -156,11 +156,20 @@ def validate_t_erd(t_erd_s: float) -> None:
         raise DesignError(f"t_erd_s={t_erd_s} must be finite and > 0")
 
 
+# Largest synthesis grid, so n_keep is at most 2**19 samples (11.9 s at
+# 44.1 kHz).  At this cap the cascade-phase kernel's two 128-section
+# blocks take 2 * 128 * (2**19 + 1) * 8 bytes, about 1.07 GB.
+MAX_SYNTHESIS_FFT = 2 ** 20
+
+
 def _render_unit(
-    sections: list[AllPassSection],
+    designs: list[DesignParams],
     params: DesignParams,
     t_erd_s: float,
 ) -> UnitCapricep:
+    """Render the cascade of the sections drawn from each of ``designs``,
+    in order, at the rate and truncation of ``params``.  The grid size is
+    checked before any section is drawn or any array allocated."""
     validate_t_erd(t_erd_s)
     fs = params.fs
     n_keep = int(round(params.truncation_factor * t_erd_s * fs))
@@ -169,6 +178,11 @@ def _render_unit(
     # Synthesis grid twice the kept window so circular wrap of the
     # exponential tails stays negligible.
     n_fft = next_pow2(2 * n_keep)
+    if n_fft > MAX_SYNTHESIS_FFT:
+        raise DesignError(
+            f"unit of {n_keep} samples needs a {n_fft}-point synthesis grid, "
+            f"above the {MAX_SYNTHESIS_FFT}-point limit")
+    sections = [s for p in designs for s in draw_sections(p)]
     resp = cascade_phase(sections, fs, n_fft)
     h, center = impulse_response(resp)
     start = center - n_keep // 2
@@ -191,7 +205,7 @@ def generate_unit(params: DesignParams, t_erd_s: float | None = None) -> UnitCap
     params.validate()
     if t_erd_s is None:
         t_erd_s = params.nominal_t_erd()
-    return _render_unit(draw_sections(params), params, t_erd_s)
+    return _render_unit([params], params, t_erd_s)
 
 
 def composite_unit(
@@ -207,14 +221,13 @@ def composite_unit(
     long_params.validate()
     if t_erd_s is None:
         t_erd_s = long_params.nominal_t_erd()
-    sections = []
+    designs = []
     if short_params is not None:
         short_params.validate()
         if short_params.fs != long_params.fs:
             raise DesignError("short and long designs must share fs")
-        sections.extend(draw_sections(short_params))
-    sections.extend(draw_sections(long_params))
-    return _render_unit(sections, long_params, t_erd_s)
+        designs.append(short_params)
+    return _render_unit(designs + [long_params], long_params, t_erd_s)
 
 
 def derive_unit_designs(base: DesignParams, count: int = 4) -> list[DesignParams]:

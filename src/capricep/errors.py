@@ -9,6 +9,10 @@ class DesignError(CapricepError, ValueError):
     """Invalid pulse-design parameters."""
 
 
+class TooFewSectionsError(DesignError):
+    """A design's random draw puts fewer than two sections below Nyquist."""
+
+
 class SignalError(CapricepError, ValueError):
     """Malformed or inconsistent signal data."""
 

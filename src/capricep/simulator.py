@@ -5,9 +5,9 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import SignalError
+from .fftconv import OverlapSave
 
 
 @dataclass(frozen=True)
@@ -27,14 +27,22 @@ class VirtualSystem:
 
     def validate(self) -> None:
         ir = np.asarray(self.lti_ir, dtype=float)
-        if ir.size == 0 or not np.all(np.isfinite(ir)):
-            raise SignalError("lti_ir must be a finite, nonempty array")
+        if ir.ndim != 1 or ir.size == 0 or not np.all(np.isfinite(ir)):
+            raise SignalError("lti_ir must be a finite, nonempty 1-D array")
+        if not np.all(np.isfinite(self.nl_coeffs)):
+            raise SignalError("nl_coeffs must be finite")
+        if self.noise_level_db is not None and not np.isfinite(self.noise_level_db):
+            raise SignalError("noise_level_db must be finite")
         if self.drift is not None:
+            if len(self.drift) != 2 or not np.all(np.isfinite(self.drift)):
+                raise SignalError("drift must be two finite numbers (period_s, depth)")
             period, depth = self.drift
             if period <= 0 or not 0.0 <= depth < 0.5:
                 raise SignalError("drift depth must be in [0, 0.5) with period > 0")
         if self.latency_samples < 0:
             raise SignalError("latency_samples must be nonnegative")
+        if self.noise_seed < 0:
+            raise SignalError("noise_seed must be nonnegative")
 
     def to_dict(self) -> dict:
         return {
@@ -48,18 +56,32 @@ class VirtualSystem:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VirtualSystem":
-        return cls(
-            lti_ir=np.asarray(d["lti_ir"], dtype=float),
-            nl_coeffs=tuple(d.get("nl_coeffs", [1.0])),
-            noise_level_db=d.get("noise_level_db"),
-            drift=tuple(d["drift"]) if d.get("drift") else None,
-            latency_samples=int(d.get("latency_samples", 0)),
-            noise_seed=int(d.get("noise_seed", 0)),
-        )
+        """Parse a system description; a missing ``lti_ir`` or a field of
+        the wrong type raises SignalError."""
+        if not isinstance(d, dict):
+            raise SignalError("system description must be a JSON object")
+        try:
+            noise = d.get("noise_level_db")
+            return cls(
+                lti_ir=np.asarray(d["lti_ir"], dtype=float),
+                nl_coeffs=tuple(float(c) for c in d.get("nl_coeffs", [1.0])),
+                noise_level_db=None if noise is None else float(noise),
+                drift=tuple(float(v) for v in d["drift"]) if d.get("drift") else None,
+                latency_samples=int(d.get("latency_samples", 0)),
+                noise_seed=int(d.get("noise_seed", 0)),
+            )
+        except KeyError as exc:
+            raise SignalError(f"system description lacks {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise SignalError(f"malformed system description: {exc}") from exc
 
     @classmethod
     def from_json(cls, text: str) -> "VirtualSystem":
-        return cls.from_dict(json.loads(text))
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SignalError(f"system file is not valid JSON: {exc}") from exc
+        return cls.from_dict(d)
 
 
 def run(
@@ -75,9 +97,13 @@ def run(
     the same noise statistics.
     """
     system.validate()
+    if not (np.isfinite(pre_silence_s) and pre_silence_s >= 0.0):
+        raise SignalError(f"pre_silence_s={pre_silence_s} must be finite and >= 0")
     signal = np.asarray(signal, dtype=float)
+    if signal.size == 0:
+        raise SignalError("input signal is empty")
     ir = np.asarray(system.lti_ir, dtype=float)
-    y = fftconvolve(signal, ir, mode="full")
+    y = OverlapSave(signal, len(ir)).convolve(ir)
 
     nl = np.zeros_like(y)
     xp = np.ones_like(y)
@@ -86,8 +112,8 @@ def run(
         if c != 0.0:
             nl += c * xp
     y = nl
-    if np.max(np.abs(y)) > 10.0:
-        raise SignalError("nonlinearity overflow: |y| exceeded 10")
+    if not np.all(np.abs(y) <= 10.0):  # also trips on NaN
+        raise SignalError("nonlinearity overflow: |y| exceeded 10 or is not finite")
 
     if system.drift is not None:
         period_s, depth = system.drift

@@ -3,15 +3,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.fft
 from scipy.signal import fftconvolve
 from scipy.stats import skew
 
 from capricep.allpass import next_pow2
 from capricep.augment import HISTOGRAM_BINS, SNR_CAP_DB, _aligned_snr_db, _histogram, augment
 from capricep.bands import band_powers, third_octave_centers, to_db
-from capricep.design import DesignParams, derive_unit_designs, generate_unit
-from capricep.errors import DesignError, SignalError
+from capricep.cli import main
+from capricep.design import TERD_NOMINAL_RATIO, DesignParams, derive_unit_designs, generate_unit
+from capricep.errors import DesignError, SignalError, TooFewSectionsError
+from capricep.fftconv import OverlapSave
+from capricep.wavio import read_wav
 
 FS = 16000.0
 
@@ -47,6 +49,11 @@ def _reference_band_level_deviation_db(x, y, fs, f_low=25.0):
     return to_db(py[keep]) - to_db(px[keep])
 
 
+def _reference_skewness(v):
+    """Sample skewness, 0.0 for a constant signal (no variance)."""
+    return 0.0 if np.ptp(v) == 0.0 else float(skew(v))
+
+
 def _reference_augment(x, fs, base, n_variants, seed, t_erd_s):
     """Variants and report one variant at a time: direct convolution,
     linear cross-correlation and both band spectra per variant."""
@@ -54,13 +61,13 @@ def _reference_augment(x, fs, base, n_variants, seed, t_erd_s):
     peak = float(np.max(np.abs(x))) or 1.0
     edges = np.linspace(-1.0, 1.0, HISTOGRAM_BINS + 1)
     variants, snrs, deltas = [], [], []
-    hists, skews = [_histogram(x / peak, edges)], [float(skew(x))]
+    hists, skews = [_histogram(x / peak, edges)], [_reference_skewness(x)]
     for p in derive_unit_designs(replace(base, seed=seed), n_variants):
         y = x.copy() if identity else fftconvolve(x, generate_unit(p, t_erd_s).samples)
         variants.append(y)
         snrs.append(_reference_aligned_snr_db(x, y))
         hists.append(_histogram(y / peak, edges))
-        skews.append(float(skew(y)))
+        skews.append(_reference_skewness(y))
         xi = np.concatenate([x, np.zeros(len(y) - len(x))])
         deltas.append(_reference_band_level_deviation_db(xi, y, fs))
     return variants, np.array(snrs), np.stack(hists), np.stack(deltas), np.array(skews)
@@ -195,19 +202,19 @@ def test_shared_spectrum_matches_per_variant_reference(n, n_variants, fd):
     assert rep.spectra_delta_db.shape == ref_delta.shape
     assert np.max(np.abs(rep.spectra_delta_db - ref_delta), initial=0.0) <= 1e-9
     assert np.array_equal(rep.value_histograms, ref_hist)
-    # A one-sample input has no skewness (NaN) on both sides.
+    # A one-sample input has no variance: skewness 0.0 on both sides.
     np.testing.assert_allclose(rep.skewness, ref_skew, rtol=0.0, atol=1e-12)
 
 
-def _circular_xcorr(x, y):
-    nf = scipy.fft.next_fast_len(len(x) + len(y) - 1, True)
-    return scipy.fft.irfft(scipy.fft.rfft(y, nf) * np.conj(scipy.fft.rfft(x, nf)), nf)
+def _linear_xcorr(x, y):
+    """Cross-correlation of y with x, lags -(len(x) - 1) .. len(y) - 1."""
+    return fftconvolve(y, x[::-1], mode="full")
 
 
 @pytest.mark.parametrize("shift", [1, 7, -1, -7, -199])
 def test_aligned_snr_finds_positive_and_wrapped_negative_lags(shift):
     """y is x delayed (shift > 0) or advanced (shift < 0); -199 is the
-    most negative lag, the first sample of the wrapped tail."""
+    most negative lag, the first sample of cc."""
     x = np.random.default_rng(3).standard_normal(200)
     x[-1] = 10.0  # so the most advanced copy peaks at lag -(len(x) - 1)
     if shift >= 0:
@@ -218,7 +225,7 @@ def test_aligned_snr_finds_positive_and_wrapped_negative_lags(shift):
         # Aligned at the right lag, only the advanced-off head x[:-shift] is lost.
         expected = 10.0 * np.log10(np.dot(x, x) / np.dot(x[:-shift], x[:-shift]))
     assert _reference_aligned_snr_db(x, y) == pytest.approx(expected, abs=1e-9)
-    assert _aligned_snr_db(x, y, _circular_xcorr(x, y)) == pytest.approx(expected, abs=1e-9)
+    assert _aligned_snr_db(x, y, _linear_xcorr(x, y)) == pytest.approx(expected, abs=1e-9)
 
 
 def test_aligned_snr_breaks_a_tie_toward_the_negative_lag():
@@ -226,8 +233,8 @@ def test_aligned_snr_breaks_a_tie_toward_the_negative_lag():
     argmax over -(len(x) - 1) .. len(y) - 1 would pick it."""
     x = np.array([0.0, 0.0, 1.0])
     y = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    cc = np.zeros(16)
-    cc[2], cc[16 - 2] = 1.0, -1.0
+    cc = np.zeros(len(x) + len(y) - 1)  # lag l at cc[l + 2]
+    cc[4], cc[0] = 1.0, -1.0
     assert _aligned_snr_db(x, y, cc) == SNR_CAP_DB  # lag +2 would give 0 dB
 
 
@@ -239,3 +246,37 @@ def test_non_finite_input_rejected(bad):
         augment(x, FS)
     with pytest.raises(SignalError, match="non-finite"):
         augment(x, FS, base_params=DesignParams(fs=FS, fd=FS, seed=0))
+
+
+def test_variant_with_too_few_sections_below_nyquist_is_the_identity(tmp_path):
+    """At 8 kHz and T_ERD 1 ms (fd 1736 Hz), some derived designs draw a
+    single section below Nyquist.  Those variants are bit-exact copies
+    with SNR_CAP_DB; every other variant is the unit's convolution."""
+    assert main(["design", "--fs", "8000", "--fd", "250", "--seed", "7",
+                 "--out-dir", str(tmp_path)]) == 0
+    x, fs = read_wav(tmp_path / "unit.wav")
+    base = DesignParams(fs=fs, fd=TERD_NOMINAL_RATIO / 0.001, seed=0, truncation_factor=8.0)
+    n_identity = 0
+    for seed in range(200):
+        variants, rep = augment(x, fs, n_variants=2, seed=seed, t_erd_s=0.001)
+        for v, snr, d in zip(variants, rep.snr_db, derive_unit_designs(replace(base, seed=seed), 2)):
+            try:
+                u = generate_unit(d, 0.001).samples
+            except TooFewSectionsError:
+                assert np.array_equal(v, x) and snr == SNR_CAP_DB
+                n_identity += 1
+                continue
+            assert np.array_equal(v, OverlapSave(x, len(u)).convolve(u))
+            ref = fftconvolve(x, u)
+            assert np.max(np.abs(v - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert rep.spectra_delta_db.shape[0] == 2
+    assert n_identity > 0
+
+
+@pytest.mark.parametrize("x", [np.full(100, 0.3), np.array([0.5])])
+def test_report_of_a_signal_without_variance_holds_no_nan(x):
+    _, rep = augment(x, FS, n_variants=2)
+    assert rep.skewness[0] == 0.0
+    for name in ("snr_db", "value_histograms", "histogram_edges", "spectra_delta_db",
+                 "skewness"):
+        assert not np.isnan(getattr(rep, name)).any(), name

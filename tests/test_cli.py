@@ -236,6 +236,52 @@ def test_non_finite_or_malformed_design_inputs_exit_1(tmp_path, capsys, argv, me
     assert not list((tmp_path / "out").glob("*.*"))
 
 
+@pytest.mark.parametrize("system_text,message", [
+    ('{"noise_level_db": -60}', "lti_ir"),
+    ('{"lti_ir": [1.0], "noise_level_db": "loud"}', "malformed"),
+    ('{"lti_ir": [1.0], ', "not valid JSON"),
+    ('{"lti_ir": [1.0], "nl_coeffs": [NaN]}', "nl_coeffs"),
+    ('{"lti_ir": [1.0], "noise_level_db": Infinity}', "noise_level_db"),
+    ('{"lti_ir": [1.0], "drift": [NaN, 0.1]}', "drift"),
+    ('{"lti_ir": [1.0], "noise_level_db": -60, "noise_seed": -1}', "noise_seed"),
+])
+def test_simulate_rejects_malformed_or_non_finite_system(tmp_path, capsys, system_text,
+                                                         message):
+    x = np.random.default_rng(0).standard_normal(800) * 0.1
+    write_wav(tmp_path / "signal.wav", x, 8000.0, "float32")
+    (tmp_path / "system.json").write_text(system_text)
+    rc = main(["simulate", "--signal", str(tmp_path / "signal.wav"),
+               "--system", str(tmp_path / "system.json"),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("pre_silence_s", ["-1", "inf", "nan"])
+def test_simulate_rejects_bad_pre_silence(tmp_path, capsys, pre_silence_s):
+    write_wav(tmp_path / "signal.wav", np.ones(100) * 0.1, 8000.0, "float32")
+    (tmp_path / "system.json").write_text('{"lti_ir": [1.0]}')
+    rc = main(["simulate", "--signal", str(tmp_path / "signal.wav"),
+               "--system", str(tmp_path / "system.json"),
+               "--pre-silence-s", pre_silence_s, "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "pre_silence_s" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_design_rejects_an_oversized_unit(tmp_path, capsys):
+    # fd 0.01 Hz at the default 44.1 kHz: a 173.6 s T_ERD, refused before
+    # any synthesis array is allocated.
+    rc = main(["design", "--fd", "0.01", "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "synthesis grid" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_file_is_data_error(tmp_path):
     rc = main(["simulate", "--signal", str(tmp_path / "absent.wav"),
                "--system", str(tmp_path / "absent.json"),

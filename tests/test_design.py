@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from capricep.design import (
+    MAX_SYNTHESIS_FFT,
     DesignParams,
     composite_unit,
     derive_seed,
@@ -153,3 +154,21 @@ def test_non_finite_params_rejected(field, value):
     params = DesignParams(fs=8000.0, fd=40.0, seed=0)
     with pytest.raises(DesignError, match="must be finite"):
         replace(params, **{field: value}).validate()
+
+
+def test_oversized_synthesis_grid_rejected_before_drawing(monkeypatch):
+    """A unit longer than the synthesis cap fails before any section is
+    drawn: fd 0.01 Hz at 44.1 kHz would need a 2**26-point grid and
+    about 68 GB of kernel blocks."""
+    def no_draw(params):
+        raise AssertionError("sections drawn before the size check")
+    monkeypatch.setattr("capricep.design.draw_sections", no_draw)
+    with pytest.raises(DesignError, match="synthesis grid"):
+        generate_unit(DesignParams(fs=44100.0, fd=0.01, seed=0))
+    # One sample past the cap's kept window: n_keep = MAX_SYNTHESIS_FFT / 2 + 1.
+    p = DesignParams(fs=8000.0, fd=250.0, seed=0, truncation_factor=1.0)
+    with pytest.raises(DesignError, match="synthesis grid"):
+        generate_unit(p, (MAX_SYNTHESIS_FFT // 2 + 1) / p.fs)
+    with pytest.raises(DesignError, match="synthesis grid"):
+        composite_unit(raised_cosine_short_params(44100.0, 1),
+                       DesignParams(fs=44100.0, fd=0.01, seed=0))

@@ -67,6 +67,12 @@ def test_drift_modulates_amplitude():
 def test_overflow_guard():
     with pytest.raises(SignalError):
         run(VirtualSystem(lti_ir=(100.0,)), np.ones(16), FS)
+    x = np.ones(16)
+    x[3] = np.nan
+    with pytest.raises(SignalError, match="not finite"):
+        run(VirtualSystem(lti_ir=(1.0,)), x, FS)
+    with pytest.raises(SignalError, match="empty"):
+        run(VirtualSystem(lti_ir=(1.0,)), np.array([]), FS)
 
 
 def test_json_roundtrip():
@@ -90,3 +96,19 @@ def test_invalid_system_rejected():
         VirtualSystem(lti_ir=(1.0,), drift=(1.0, 0.7)).validate()
     with pytest.raises(SignalError):
         VirtualSystem(lti_ir=(1.0,), latency_samples=-1).validate()
+    for bad in ({"nl_coeffs": (1.0, np.inf)}, {"noise_level_db": np.nan},
+                {"drift": (np.inf, 0.1)}, {"drift": (1.0,)}):
+        with pytest.raises(SignalError):
+            VirtualSystem(lti_ir=(1.0,), **bad).validate()
+    with pytest.raises(SignalError):
+        VirtualSystem(lti_ir=((1.0, 2.0),)).validate()
+
+
+@pytest.mark.parametrize("d", [
+    {}, {"lti_ir": "abc"}, {"lti_ir": [1.0], "nl_coeffs": 2.0},
+    {"lti_ir": [1.0], "noise_level_db": [1]}, {"lti_ir": [1.0], "latency_samples": "x"},
+    [1.0], "text",
+])
+def test_from_dict_maps_missing_and_mistyped_fields_to_signal_error(d):
+    with pytest.raises(SignalError):
+        VirtualSystem.from_dict(d)
