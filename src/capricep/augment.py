@@ -12,20 +12,23 @@ and so is its linear autocorrelation r_xx at lags -(n-1) .. n-1, taken
 with one FFT pair.  A variant y = x * u then costs one short rfft of u
 and two batched irffts: y itself, and its cross-correlation with the
 input, r_xx * u, which holds every lag of the SNR alignment search in
-order, -(n-1) .. len(y)-1.  Band levels stay on their own report grid,
-next_pow2 of the longest variant, where the input's band powers are
-computed once.  A variant whose design fits fewer than two sections
-below Nyquist, like a base design with fd >= fs/2, is the identity.
+order, -(n-1) .. len(y)-1.  Band levels use their own report grid,
+next_pow2 of the longest variant.  It holds every variant whole, so a
+variant's report spectrum is exactly X U, and band b's power is
+sum |X|^2 |U|^2 = sum_l c[l] S[b, l], where c = (a[0], 2 a[1], ...) comes
+from the unit's autocorrelation a and S[b, l], the band's |X|^2 summed
+against cos(2 pi k l / n_report), is built once per call
+(``bands.band_lag_sums``).  A variant's report then costs one short FFT
+pair and a small matrix-vector product, and no transform on the report
+grid.  A variant whose design fits fewer than two sections below
+Nyquist, like a base design with fd >= fs/2, is the identity.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft
-from scipy.signal import fftconvolve  # noqa: F401  unused; perfbench/spans.py patches it by name
-from scipy.stats import skew
 
 from . import bands
 from .allpass import next_pow2
@@ -51,6 +54,15 @@ class AugmentReport:
     histogram_edges: np.ndarray
     spectra_delta_db: np.ndarray  # (n_variants, n_bands) per-band deviation
     skewness: np.ndarray  # original prepended: length n_variants + 1
+
+
+def __getattr__(name: str):
+    # scipy.signal takes about a second to import and nothing here calls
+    # it; ``fftconvolve`` stays resolvable here for perfbench/spans.py.
+    if name == "fftconvolve":
+        from scipy.signal import fftconvolve
+        return fftconvolve
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _aligned_snr_db(x: np.ndarray, y: np.ndarray, cc: np.ndarray) -> float:
@@ -83,10 +95,15 @@ def _histogram(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 def _skewness(x: np.ndarray) -> float:
-    """Sample skewness, 0.0 for a signal without variance (a constant or
-    a single sample), where scipy returns NaN."""
-    s = float(skew(x))
-    return 0.0 if math.isnan(s) else s
+    """Sample skewness m3 / m2**1.5 from the central moments, 0.0 for a
+    signal without variance (a constant or a single sample): scipy's
+    test m2 <= (eps * mean)**2, under which scipy.stats.skew gives NaN."""
+    mean = x.mean()
+    d = x - mean
+    m2 = np.einsum("i,i->", d, d) / len(x)
+    if m2 <= (np.finfo(float).eps * mean) ** 2:
+        return 0.0
+    return float(np.einsum("i,i,i->", d, d, d) / len(x) / m2 ** 1.5)
 
 
 def _unit_or_identity(p: DesignParams, t_erd_s: float) -> np.ndarray | None:
@@ -149,9 +166,15 @@ def augment(
         framed_x = OverlapSave(x, m)
         framed_r = OverlapSave(_autocorrelation(x), m)
     # One report grid for every variant, the longest one's, so identity
-    # variants among filtered ones report on the same bands.
+    # variants among filtered ones report on the same bands.  The grid
+    # holds every x * u whole, so a variant's report spectrum is X U and
+    # its band powers are lag_sums @ c, c from the unit's autocorrelation.
     n_report = next_pow2(len(x) + m - 1)
-    px = bands.band_powers(x, fs, centers, n_report)
+    spec = bands.power_spectrum(x, n_report)
+    lag_sums = bands.band_lag_sums(spec, *bands.band_bins(fs, centers, n_report),
+                                   n_report, m)
+    del spec
+    px = lag_sums[:, 0]
     keep = px > 0
 
     variants: list[np.ndarray] = []
@@ -163,13 +186,16 @@ def augment(
         if u is None:
             y = x.copy()
             snrs[i] = SNR_CAP_DB
+            py = px
         else:
             y = framed_x.convolve(u)
             snrs[i] = _aligned_snr_db(x, y, framed_r.convolve(u))
+            c = _autocorrelation(u)[len(u) - 1:]
+            c[1:] *= 2.0
+            py = lag_sums[:, :len(u)] @ c
         variants.append(y)
         hists.append(_histogram(y / peak, edges))
         skews.append(_skewness(y))
-        py = bands.band_powers(y, fs, centers, n_report)
         deltas.append(bands.to_db(py[keep]) - bands.to_db(px[keep]))
 
     report = AugmentReport(

@@ -2,8 +2,14 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft
+
+from .allpass import next_pow2
 
 _DB_FLOOR = -300.0
+# Longest chirp-z FFT of band_lag_sums, unless 4 lags need more: a wider
+# band is cut into pieces, which pads less than one power of two would.
+_MAX_CONV = 4096
 
 
 def third_octave_centers(fs: float, f_low: float = 25.0) -> np.ndarray:
@@ -34,9 +40,62 @@ def band_powers(x: np.ndarray, fs: float, centers: np.ndarray, n_fft: int) -> np
     Power is |rfft|^2 summed over the band's bins and scaled by 1/n so
     the sum over all bins equals the frame energy (Parseval).
     """
-    spec = np.abs(np.fft.rfft(x, n_fft)) ** 2 / n_fft
+    spec = power_spectrum(x, n_fft)
     start, stop = band_bins(fs, centers, n_fft)
     return np.array([spec[a:b].sum() for a, b in zip(start, stop)])
+
+
+def power_spectrum(x: np.ndarray, n_fft: int) -> np.ndarray:
+    """|rfft(x, n_fft)|^2 / n_fft, whose bins sum to the frame energy."""
+    return np.abs(np.fft.rfft(x, n_fft)) ** 2 / n_fft
+
+
+def _chirp(t: np.ndarray, n_fft: int) -> np.ndarray:
+    """exp(i pi t^2 / n_fft) for integer t, reduced exactly mod 2 n_fft."""
+    return np.exp(1j * np.pi / n_fft * ((t * t) % (2 * n_fft)))
+
+
+def band_lag_sums(spec: np.ndarray, start: np.ndarray, stop: np.ndarray, n_fft: int,
+                  n_lags: int) -> np.ndarray:
+    """S[b, l] = sum over bins k in [start[b], stop[b]) of
+    spec[k] cos(2 pi k l / n_fft), for lags l = 0 .. n_lags - 1.
+
+    A kernel u of at most n_lags samples, with autocorrelation a, has
+    |U(k)|^2 = a[0] + 2 sum_l a[l] cos(2 pi k l / n_fft); so on a grid
+    long enough for x * u, band b of x * u holds sum_l c[l] S[b, l] with
+    c = (a[0], 2 a[1], ...).  Each band is summed by chirp-z (Bluestein)
+    transforms: a band of w bins takes one power-of-two FFT of at least
+    w + n_lags - 1 points, a wide one several of _MAX_CONV points, and the
+    pieces of one length share the chirp filter and one batched FFT.
+    Column 0 is the band's power, summed directly (as band_powers does).
+    """
+    start, stop = np.asarray(start), np.asarray(stop)
+    sums = np.zeros((len(start), n_lags))
+    # Pieces (band, first bin, width) of at most max_width bins.
+    max_conv = max(_MAX_CONV, next_pow2(4 * n_lags))
+    max_width = max_conv - n_lags + 1
+    pieces = [(b, k, min(max_width, stop[b] - k))
+              for b in range(len(start)) for k in range(start[b], stop[b], max_width)]
+    lengths = np.array([next_pow2(w + n_lags - 1) for _, _, w in pieces], dtype=int)
+    # exp(2 pi i j l / n) = chirp(j) chirp(l) / chirp(l - j), and the chirp
+    # is even in its argument, so one table serves every piece and length.
+    chirp = _chirp(np.arange(max(lengths, default=0)), n_fft)
+    for n_conv in np.unique(lengths):
+        group = [pieces[i] for i in np.flatnonzero(lengths == n_conv)]
+        # 1 / chirp at offsets 0 .. n_lags - 1, then -(n_conv - n_lags) .. -1.
+        offsets = np.arange(n_conv)
+        offsets[n_lags:] = n_conv - offsets[n_lags:]
+        filt = scipy.fft.fft(np.conj(chirp[offsets]))
+        frames = np.zeros((len(group), n_conv), dtype=complex)
+        for row, (_, k, w) in zip(frames, group):
+            row[:w] = spec[k:k + w] * chirp[:w]
+        conv = scipy.fft.ifft(scipy.fft.fft(frames, axis=-1) * filt, axis=-1)[:, :n_lags]
+        # A piece from bin k0: exp(2 pi i k0 l / n) chirp(l) = chirp(l + k0) / chirp(k0).
+        k0 = np.array([k for _, k, _ in group])[:, None]
+        turn = _chirp(np.arange(n_lags) + k0, n_fft) * np.conj(_chirp(k0, n_fft))
+        np.add.at(sums, [b for b, _, _ in group], (conv * turn).real)
+    sums[:, 0] = [spec[a:z].sum() for a, z in zip(start, stop)]
+    return sums
 
 
 def mean_band_powers(frames: list[np.ndarray], fs: float, centers: np.ndarray,

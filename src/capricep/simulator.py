@@ -2,12 +2,29 @@
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SignalError
 from .fftconv import OverlapSave
+
+# Most samples of latency, or of pre-signal silence, the simulator will
+# allocate: 2**24 float64 samples are 128 MiB, over 5 minutes at 48 kHz.
+MAX_PAD_SAMPLES = 2 ** 24
+
+
+def _whole_number(d: dict, key: str) -> int:
+    """d[key] (0 when absent) as an int; a bool, a fraction, a non-finite
+    or a non-numeric value raises SignalError rather than being coerced."""
+    value = d.get(key, 0)
+    if not isinstance(value, bool):
+        if isinstance(value, numbers.Integral):
+            return int(value)
+        if isinstance(value, numbers.Real) and float(value).is_integer():
+            return int(value)
+    raise SignalError(f"{key} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -39,8 +56,9 @@ class VirtualSystem:
             period, depth = self.drift
             if period <= 0 or not 0.0 <= depth < 0.5:
                 raise SignalError("drift depth must be in [0, 0.5) with period > 0")
-        if self.latency_samples < 0:
-            raise SignalError("latency_samples must be nonnegative")
+        if not 0 <= self.latency_samples <= MAX_PAD_SAMPLES:
+            raise SignalError(
+                f"latency_samples={self.latency_samples} outside 0 .. {MAX_PAD_SAMPLES}")
         if self.noise_seed < 0:
             raise SignalError("noise_seed must be nonnegative")
 
@@ -67,8 +85,8 @@ class VirtualSystem:
                 nl_coeffs=tuple(float(c) for c in d.get("nl_coeffs", [1.0])),
                 noise_level_db=None if noise is None else float(noise),
                 drift=tuple(float(v) for v in d["drift"]) if d.get("drift") else None,
-                latency_samples=int(d.get("latency_samples", 0)),
-                noise_seed=int(d.get("noise_seed", 0)),
+                latency_samples=_whole_number(d, "latency_samples"),
+                noise_seed=_whole_number(d, "noise_seed"),
             )
         except KeyError as exc:
             raise SignalError(f"system description lacks {exc}") from exc
@@ -97,8 +115,10 @@ def run(
     the same noise statistics.
     """
     system.validate()
-    if not (np.isfinite(pre_silence_s) and pre_silence_s >= 0.0):
-        raise SignalError(f"pre_silence_s={pre_silence_s} must be finite and >= 0")
+    if not (np.isfinite(pre_silence_s) and 0.0 <= pre_silence_s * fs <= MAX_PAD_SAMPLES):
+        raise SignalError(f"pre_silence_s={pre_silence_s} must be finite, >= 0 and "
+                          f"at most {MAX_PAD_SAMPLES} samples")
+    n_pre = int(round(pre_silence_s * fs))
     signal = np.asarray(signal, dtype=float)
     if signal.size == 0:
         raise SignalError("input signal is empty")
@@ -123,7 +143,6 @@ def run(
     y = np.concatenate([np.zeros(system.latency_samples), y])
 
     rng = np.random.default_rng(system.noise_seed)
-    n_pre = int(round(pre_silence_s * fs))
     if system.noise_level_db is not None:
         sigma = 10.0 ** (system.noise_level_db / 20.0)
         pre = rng.normal(0.0, sigma, n_pre)

@@ -1,4 +1,5 @@
 """All-pass filter-bank augmentation: invariants and reporting."""
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,14 @@ from scipy.signal import fftconvolve
 from scipy.stats import skew
 
 from capricep.allpass import next_pow2
-from capricep.augment import HISTOGRAM_BINS, SNR_CAP_DB, _aligned_snr_db, _histogram, augment
+from capricep.augment import (
+    HISTOGRAM_BINS,
+    SNR_CAP_DB,
+    _aligned_snr_db,
+    _histogram,
+    _skewness,
+    augment,
+)
 from capricep.bands import band_powers, third_octave_centers, to_db
 from capricep.cli import main
 from capricep.design import TERD_NOMINAL_RATIO, DesignParams, derive_unit_designs, generate_unit
@@ -178,20 +186,29 @@ def _noise_with_pulses(n, seed):
     return x
 
 
-@pytest.mark.parametrize("n,n_variants,fd", [
-    (6000, 1, 868.0),    # the default base design at T_ERD 2 ms
-    (6000, 16, 868.0),
-    (1, 3, 868.0),       # one sample: no negative lag to search
-    (100, 2, 868.0),     # unit (256 samples) longer than the input
-    (3000, 2, 9000.0),   # identity: fd >= fs/2
+@pytest.mark.parametrize("n,n_variants,fd,truncation,tone_hz", [
+    (6000, 1, 868.0, 8.0, None),    # the default base design at T_ERD 2 ms
+    (6000, 16, 868.0, 8.0, None),
+    (1, 3, 868.0, 8.0, None),       # one sample: no negative lag to search
+    (100, 2, 868.0, 8.0, None),     # unit (256 samples) longer than the input
+    (3000, 2, 9000.0, 8.0, None),   # identity: fd >= fs/2
+    (6000, 2, 100.0, 8.0, None),    # long units: 2222 samples
+    (6000, 3, 868.0, 8.0, 1000.0),  # a pure tone: most bands hold only leakage
+    # Short truncation: band deltas of ~0.01 dB, where at 8.0 they are
+    # ~1e-10 dB, below the bound itself.
+    (6000, 3, 100.0, 2.5, None),
 ])
-def test_shared_spectrum_matches_per_variant_reference(n, n_variants, fd):
-    x = _noise_with_pulses(n, seed=n)
-    base = DesignParams(fs=FS, fd=fd, seed=0, truncation_factor=8.0)
+def test_shared_spectrum_matches_per_variant_reference(n, n_variants, fd, truncation, tone_hz):
+    if tone_hz is None:
+        x = _noise_with_pulses(n, seed=n)
+    else:
+        x = 0.5 * np.sin(2.0 * np.pi * tone_hz * np.arange(n) / FS)
+    t_erd_s = 0.002 if fd >= FS / 2.0 else TERD_NOMINAL_RATIO / fd
+    base = DesignParams(fs=FS, fd=fd, seed=0, truncation_factor=truncation)
     variants, rep = augment(x, FS, base_params=base, n_variants=n_variants,
-                            seed=21, t_erd_s=0.002)
+                            seed=21, t_erd_s=t_erd_s)
     ref_v, ref_snr, ref_hist, ref_delta, ref_skew = _reference_augment(
-        x, FS, base, n_variants, 21, 0.002)
+        x, FS, base, n_variants, 21, t_erd_s)
     peak = max(float(np.max(np.abs(v))) for v in ref_v)
     for v, r in zip(variants, ref_v):
         assert v.shape == r.shape
@@ -271,6 +288,21 @@ def test_variant_with_too_few_sections_below_nyquist_is_the_identity(tmp_path):
             assert np.max(np.abs(v - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert rep.spectra_delta_db.shape[0] == 2
     assert n_identity > 0
+
+
+@pytest.mark.parametrize("x", [np.full(100, 0.3), np.array([0.5])])
+def test_skewness_of_a_signal_without_variance_is_zero_without_a_warning(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, rep = augment(x, FS, n_variants=1)
+        assert _skewness(x) == 0.0
+    assert rep.skewness[0] == 0.0
+
+
+@pytest.mark.parametrize("x", [_asymmetric_signal(), _noise_with_pulses(5000, 4),
+                               -_noise_with_pulses(777, 5), np.array([0.0, 1.0, 1.0])])
+def test_skewness_matches_scipy(x):
+    assert _skewness(x) == pytest.approx(float(skew(x)), rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("x", [np.full(100, 0.3), np.array([0.5])])

@@ -1,9 +1,15 @@
 """Command-line interface: exit codes, outputs, reproducibility."""
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import capricep
 from capricep.cli import main
 from capricep.wavio import read_wav, write_wav
 
@@ -244,6 +250,12 @@ def test_non_finite_or_malformed_design_inputs_exit_1(tmp_path, capsys, argv, me
     ('{"lti_ir": [1.0], "noise_level_db": Infinity}', "noise_level_db"),
     ('{"lti_ir": [1.0], "drift": [NaN, 0.1]}', "drift"),
     ('{"lti_ir": [1.0], "noise_level_db": -60, "noise_seed": -1}', "noise_seed"),
+    ('{"lti_ir": [1.0], "latency_samples": 1.7}', "latency_samples"),
+    ('{"lti_ir": [1.0], "latency_samples": true}', "latency_samples"),
+    ('{"lti_ir": [1.0], "latency_samples": "5"}', "latency_samples"),
+    ('{"lti_ir": [1.0], "latency_samples": 1000000000000}', "latency_samples"),
+    ('{"lti_ir": [1.0], "noise_level_db": -60, "noise_seed": 0.5}', "noise_seed"),
+    ('{"lti_ir": [1.0], "noise_level_db": -60, "noise_seed": false}', "noise_seed"),
 ])
 def test_simulate_rejects_malformed_or_non_finite_system(tmp_path, capsys, system_text,
                                                          message):
@@ -259,7 +271,7 @@ def test_simulate_rejects_malformed_or_non_finite_system(tmp_path, capsys, syste
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("pre_silence_s", ["-1", "inf", "nan"])
+@pytest.mark.parametrize("pre_silence_s", ["-1", "inf", "nan", "1e12"])
 def test_simulate_rejects_bad_pre_silence(tmp_path, capsys, pre_silence_s):
     write_wav(tmp_path / "signal.wav", np.ones(100) * 0.1, 8000.0, "float32")
     (tmp_path / "system.json").write_text('{"lti_ir": [1.0]}')
@@ -296,3 +308,24 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_importing_the_cli_loads_neither_scipy_signal_nor_scipy_stats():
+    """Either one costs about a second of start-up, and no subcommand needs it."""
+    code = ("import sys, capricep.cli; "
+            "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])")
+    src = str(Path(capricep.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_augment_module_still_resolves_fftconvolve():
+    from scipy.signal import fftconvolve
+    # The package re-exports the augment() function under the submodule's name.
+    augment_module = importlib.import_module("capricep.augment")
+    assert augment_module.fftconvolve is fftconvolve
+    with pytest.raises(AttributeError):
+        augment_module.no_such_name

@@ -1,11 +1,12 @@
 """Virtual measurement chain: convolution, polynomial distortion, noise."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from capricep.errors import SignalError
-from capricep.simulator import VirtualSystem, run
+from capricep.simulator import MAX_PAD_SAMPLES, VirtualSystem, run
 
 FS = 8000.0
 
@@ -112,3 +113,42 @@ def test_invalid_system_rejected():
 def test_from_dict_maps_missing_and_mistyped_fields_to_signal_error(d):
     with pytest.raises(SignalError):
         VirtualSystem.from_dict(d)
+
+
+@pytest.mark.parametrize("field", ["latency_samples", "noise_seed"])
+@pytest.mark.parametrize("value", [1.7, 0.5, True, False, "5", None, [3], float("inf"),
+                                   float("nan")])
+def test_from_dict_rejects_a_fractional_boolean_or_non_numeric_count(field, value):
+    with pytest.raises(SignalError, match=field):
+        VirtualSystem.from_dict({"lti_ir": [1.0], field: value})
+
+
+def test_from_dict_accepts_whole_numbers_written_as_floats():
+    system = VirtualSystem.from_dict({"lti_ir": [1.0], "latency_samples": 3.0,
+                                      "noise_seed": np.int64(9)})
+    assert system.latency_samples == 3 and type(system.latency_samples) is int
+    assert system.noise_seed == 9 and type(system.noise_seed) is int
+
+
+def test_huge_latency_or_pre_silence_raises_before_allocating():
+    x = np.ones(100)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SignalError, match="latency_samples"):
+            run(VirtualSystem(lti_ir=(1.0,), latency_samples=10 ** 12), x, FS)
+        with pytest.raises(SignalError, match="pre_silence_s"):
+            run(VirtualSystem(lti_ir=(1.0,)), x, FS, pre_silence_s=10 ** 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_latency_and_pre_silence_at_the_cap_are_accepted():
+    x = np.ones(10)
+    system = VirtualSystem(lti_ir=(1.0,), latency_samples=MAX_PAD_SAMPLES)
+    system.validate()
+    with pytest.raises(SignalError, match="latency_samples"):
+        VirtualSystem(lti_ir=(1.0,), latency_samples=MAX_PAD_SAMPLES + 1).validate()
+    _, pre = run(VirtualSystem(lti_ir=(1.0,)), x, FS, pre_silence_s=MAX_PAD_SAMPLES / FS)
+    assert len(pre) == MAX_PAD_SAMPLES
