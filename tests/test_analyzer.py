@@ -6,6 +6,7 @@ from scipy.signal import fftconvolve
 from capricep.analyzer import (
     _background_frames,
     _level_table,
+    _valid_convolution,
     compress,
     decompose,
     find_alignment,
@@ -98,6 +99,18 @@ def test_compress_equals_fftconvolve_of_each_reversed_unit():
             ref = fftconvolve(rec, u.samples[::-1], mode="full")
             assert qm.shape == ref.shape
             assert np.max(np.abs(qm - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("la,lb", [(16000, 256), (3200, 1600), (1000, 999), (1000, 1000),
+                                   (7, 5), (5, 7), (33333, 4097), (2, 2)])
+def test_valid_convolution_is_fftconvolve_valid_bit_for_bit(la, lb):
+    """The background frames keep the bytes scipy.signal.fftconvolve gave them."""
+    rng = np.random.default_rng(la + lb)
+    a, b = rng.standard_normal(la), rng.standard_normal(lb)
+    want = fftconvolve(a, b, mode="valid")
+    got = _valid_convolution(a, b)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_find_alignment_on_clean_comb():

@@ -197,7 +197,8 @@ def _noise_with_pulses(n, seed):
     # Short truncation: band deltas of ~0.01 dB, where at 8.0 they are
     # ~1e-10 dB, below the bound itself.
     (6000, 3, 100.0, 2.5, None),
-])
+], ids=["6000-1-868.0", "6000-16-868.0", "1-3-868.0", "100-2-868.0", "3000-2-9000.0",
+        "long-unit", "pure-tone", "short-truncation"])
 def test_shared_spectrum_matches_per_variant_reference(n, n_variants, fd, truncation, tone_hz):
     if tone_hz is None:
         x = _noise_with_pulses(n, seed=n)
@@ -297,12 +298,6 @@ def test_skewness_of_a_signal_without_variance_is_zero_without_a_warning(x):
         _, rep = augment(x, FS, n_variants=1)
         assert _skewness(x) == 0.0
     assert rep.skewness[0] == 0.0
-
-
-@pytest.mark.parametrize("x", [_asymmetric_signal(), _noise_with_pulses(5000, 4),
-                               -_noise_with_pulses(777, 5), np.array([0.0, 1.0, 1.0])])
-def test_skewness_matches_scipy(x):
-    assert _skewness(x) == pytest.approx(float(skew(x)), rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("x", [np.full(100, 0.3), np.array([0.5])])
