@@ -170,10 +170,8 @@ def augment(
     # holds every x * u whole, so a variant's report spectrum is X U and
     # its band powers are lag_sums @ c, c from the unit's autocorrelation.
     n_report = next_pow2(len(x) + m - 1)
-    spec = bands.power_spectrum(x, n_report)
-    lag_sums = bands.band_lag_sums(spec, *bands.band_bins(fs, centers, n_report),
-                                   n_report, m)
-    del spec
+    lag_sums = bands.band_lag_sums(bands.power_spectrum(x, n_report),
+                                   *bands.band_bins(fs, centers, n_report), n_report, m)
     px = lag_sums[:, 0]
     keep = px > 0
 

@@ -315,7 +315,8 @@ def test_importing_the_cli_loads_neither_scipy_signal_nor_scipy_stats():
     code = ("import sys, capricep.cli; "
             "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])")
     src = str(Path(capricep.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
