@@ -27,13 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .allpass import next_pow2
 from .bands import band_bins, mean_band_powers, third_octave_centers, to_db
 from .design import UnitCapricep
 from .errors import AnalysisError
-from .fftconv import OverlapSave
+from .fftconv import OverlapSave, valid_convolution
 from .sequences import B4, check_session
 
 # Pre-roll (fraction of n_o) between window start and the pulse peak so
@@ -252,24 +251,11 @@ def _background_frames(
     if np.max(np.abs(silence)) >= 0.999 * max(1.0, scale):
         return None
     silence = silence / scale
-    qbg = _valid_convolution(silence, u4[::-1])
+    qbg = valid_convolution(silence, u4[::-1])
     n_frames = len(qbg) // n_o
     if n_frames < 1:
         return None
     return qbg[: n_frames * n_o].reshape(n_frames, n_o)
-
-
-def _valid_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The 'valid' part of a * b, computed as scipy.signal.fftconvolve
-    computes it for inputs of two or more samples, so the bytes match:
-    the longer input first, one rfft pair on next_fast_len of the full
-    length, then the centred slice."""
-    if len(a) < len(b):
-        a, b = b, a
-    n = len(a) + len(b) - 1
-    nf = scipy.fft.next_fast_len(n, True)
-    full = scipy.fft.irfft(scipy.fft.rfft(a, nf) * scipy.fft.rfft(b, nf), nf)
-    return full[len(b) - 1:len(a)]
 
 
 def _level_table(

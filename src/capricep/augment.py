@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.fft
 
 from . import bands
 from .allpass import next_pow2
@@ -40,7 +39,7 @@ from .design import (
     validate_t_erd,
 )
 from .errors import SignalError, TooFewSectionsError
-from .fftconv import OverlapSave
+from .fftconv import OverlapSave, autocorrelation
 
 SNR_CAP_DB = 150.0
 DEFAULT_T_ERD_S = 0.002
@@ -115,15 +114,6 @@ def _unit_or_identity(p: DesignParams, t_erd_s: float) -> np.ndarray | None:
         return None
 
 
-def _autocorrelation(x: np.ndarray) -> np.ndarray:
-    """Linear autocorrelation of x at lags -(n-1) .. n-1, in lag order."""
-    n = len(x)
-    nf = scipy.fft.next_fast_len(2 * n - 1, True)
-    spec = scipy.fft.rfft(x, nf)
-    r = scipy.fft.irfft(spec.real ** 2 + spec.imag ** 2, nf)
-    return np.concatenate([r[nf - (n - 1):], r[:n]])
-
-
 def augment(
     signal: np.ndarray,
     fs: float,
@@ -164,7 +154,7 @@ def augment(
     m = max(map(len, filtered), default=1)
     if filtered:
         framed_x = OverlapSave(x, m)
-        framed_r = OverlapSave(_autocorrelation(x), m)
+        framed_r = OverlapSave(autocorrelation(x), m)
     # One report grid for every variant, the longest one's, so identity
     # variants among filtered ones report on the same bands.  The grid
     # holds every x * u whole, so a variant's report spectrum is X U and
@@ -188,7 +178,7 @@ def augment(
         else:
             y = framed_x.convolve(u)
             snrs[i] = _aligned_snr_db(x, y, framed_r.convolve(u))
-            c = _autocorrelation(u)[len(u) - 1:]
+            c = autocorrelation(u)[len(u) - 1:]
             c[1:] *= 2.0
             py = lag_sums[:, :len(u)] @ c
         variants.append(y)

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
 
 from .allpass import next_pow2
 
@@ -85,11 +84,11 @@ def band_lag_sums(spec: np.ndarray, start: np.ndarray, stop: np.ndarray, n_fft: 
         # 1 / chirp at offsets 0 .. n_lags - 1, then -(n_conv - n_lags) .. -1.
         offsets = np.arange(n_conv)
         offsets[n_lags:] = n_conv - offsets[n_lags:]
-        filt = scipy.fft.fft(np.conj(chirp[offsets]))
+        filt = np.fft.fft(np.conj(chirp[offsets]))
         frames = np.zeros((len(group), n_conv), dtype=complex)
         for row, (_, k, w) in zip(frames, group):
             row[:w] = spec[k:k + w] * chirp[:w]
-        conv = scipy.fft.ifft(scipy.fft.fft(frames, axis=-1) * filt, axis=-1)[:, :n_lags]
+        conv = np.fft.ifft(np.fft.fft(frames, axis=-1) * filt, axis=-1)[:, :n_lags]
         # A piece from bin k0: exp(2 pi i k0 l / n) chirp(l) = chirp(l + k0) / chirp(k0).
         k0 = np.array([k for _, k, _ in group])[:, None]
         turn = _chirp(np.arange(n_lags) + k0, n_fft) * np.conj(_chirp(k0, n_fft))

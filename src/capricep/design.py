@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -49,6 +50,7 @@ class DesignParams:
             raise DesignError("alpha, beta and cmag must be positive")
         if self.truncation_factor <= 0:
             raise DesignError("truncation_factor must be positive")
+        check_seed(self.seed)
 
     def nominal_t_erd(self) -> float:
         """Rectangle duration matching this design's variance profile."""
@@ -118,9 +120,25 @@ def first_order_count(sections: list[AllPassSection]) -> int:
     return 2 * len(sections)
 
 
+def check_seed(seed: int) -> None:
+    """Reject a seed numpy cannot take: anything but an integer >= 0."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DesignError(f"seed={seed!r} must be a non-negative integer")
+
+
 def derive_seed(base_seed: int, index: int) -> np.random.SeedSequence:
     """Independent per-unit RNG stream from (base seed, unit index)."""
+    check_seed(base_seed)
     return np.random.SeedSequence([int(base_seed), int(index)])
+
+
+# Most rounds of interval draws in draw_sections.  A round holds 1.5
+# times the nyquist / fd intervals that reach Nyquist on average, so the
+# cap is at least 96 times that mean.  Beta draws that underflow to 0 (a
+# tiny alpha) would otherwise never reach Nyquist.  At fs 44100, fd 2000
+# and beta 8 the slowest of 400 seeds needed 18 rounds at alpha 1e-3 and
+# 123 at alpha 1e-4.
+_MAX_DRAW_ROUNDS = 64
 
 
 def draw_sections(params: DesignParams) -> list[AllPassSection]:
@@ -132,11 +150,15 @@ def draw_sections(params: DesignParams) -> list[AllPassSection]:
     # mean interval is fd for any (alpha, beta).
     scale = params.fd * (params.alpha + params.beta) / params.alpha
     n_guess = int(np.ceil(nyquist / params.fd * 1.5)) + 64
-    intervals = rng.beta(params.alpha, params.beta, size=n_guess) * scale
-    freqs = np.cumsum(intervals)
-    while freqs[-1] < nyquist:
+    chunks = [np.cumsum(rng.beta(params.alpha, params.beta, size=n_guess) * scale)]
+    while chunks[-1][-1] < nyquist:
+        if len(chunks) == _MAX_DRAW_ROUNDS:
+            raise DesignError(
+                f"{n_guess * len(chunks)} intervals drawn from Beta({params.alpha}, "
+                f"{params.beta}) stay below Nyquist: alpha or beta too small")
         more = rng.beta(params.alpha, params.beta, size=n_guess) * scale
-        freqs = np.concatenate([freqs, freqs[-1] + np.cumsum(more)])
+        chunks.append(chunks[-1][-1] + np.cumsum(more))
+    freqs = np.concatenate(chunks)
     freqs = freqs[freqs < nyquist]
     if len(freqs) < 2:
         raise TooFewSectionsError(
@@ -172,7 +194,12 @@ def _render_unit(
     checked before any section is drawn or any array allocated."""
     validate_t_erd(t_erd_s)
     fs = params.fs
-    n_keep = int(round(params.truncation_factor * t_erd_s * fs))
+    n_keep = params.truncation_factor * t_erd_s * fs
+    if not n_keep <= MAX_SYNTHESIS_FFT:  # also trips on inf
+        raise DesignError(
+            f"unit of {n_keep:g} samples needs a synthesis grid above the "
+            f"{MAX_SYNTHESIS_FFT}-point limit")
+    n_keep = int(round(n_keep))
     if n_keep < 2:
         raise DesignError("truncation window shorter than 2 samples")
     # Synthesis grid twice the kept window so circular wrap of the

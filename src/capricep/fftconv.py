@@ -1,4 +1,4 @@
-"""Overlap-save convolution of one long signal with many short kernels.
+"""FFT convolution and correlation, on numpy.fft alone.
 
 ``OverlapSave(x, m)`` cuts x into overlapping frames once and keeps
 their spectra; ``convolve(k)`` then returns the full linear convolution
@@ -9,11 +9,13 @@ each frame yields a hop of L - m + 1 output samples; L depends only on
 m, which keeps every FFT short however long x is.  When the whole
 convolution fits in L points it is one frame of next_fast_len(len(x) +
 m - 1) points with nothing dropped.
+
+``next_fast_len`` is the one rule for the length of a single-frame
+transform; ``valid_convolution`` and ``autocorrelation`` use it too.
 """
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .allpass import next_pow2
@@ -21,6 +23,43 @@ from .allpass import next_pow2
 # Shortest overlap-save frame: below this, per-frame overhead outweighs
 # the shorter transforms.
 _MIN_FRAME = 4096
+
+
+def next_fast_len(n: int) -> int:
+    """The smallest 5-smooth length 2**a * 3**b * 5**c >= n (n >= 1),
+    which pocketfft's real transforms handle fastest; it equals
+    scipy.fft.next_fast_len(n, real=True)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # The smallest power-of-two multiple of p35 that reaches n.
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def valid_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The 'valid' part of a * b, computed as scipy.signal.fftconvolve
+    computes it for inputs of two or more samples, so the bytes match:
+    the longer input first, one rfft pair on next_fast_len of the full
+    length, then the centred slice."""
+    if len(a) < len(b):
+        a, b = b, a
+    nf = next_fast_len(len(a) + len(b) - 1)
+    full = np.fft.irfft(np.fft.rfft(a, nf) * np.fft.rfft(b, nf), nf)
+    return full[len(b) - 1:len(a)]
+
+
+def autocorrelation(x: np.ndarray) -> np.ndarray:
+    """Linear autocorrelation of x at lags -(n-1) .. n-1, in lag order."""
+    n = len(x)
+    nf = next_fast_len(2 * n - 1)
+    spec = np.fft.rfft(x, nf)
+    r = np.fft.irfft(spec.real ** 2 + spec.imag ** 2, nf)
+    return np.concatenate([r[nf - (n - 1):], r[:n]])
 
 
 class OverlapSave:
@@ -35,7 +74,7 @@ class OverlapSave:
         n_out = self.n + m - 1
         frame = max(_MIN_FRAME, next_pow2(8 * m))
         if n_out <= frame:
-            frame, self.skip = scipy.fft.next_fast_len(n_out, True), 0
+            frame, self.skip = next_fast_len(n_out), 0
         else:
             self.skip = m - 1
         self.frame = frame
@@ -43,13 +82,12 @@ class OverlapSave:
         n_frames = -(-n_out // hop)
         padded = np.zeros((n_frames - 1) * hop + frame)
         padded[self.skip:self.skip + self.n] = x
-        self._spec = scipy.fft.rfft(sliding_window_view(padded, frame)[::hop], axis=-1)
+        self._spec = np.fft.rfft(sliding_window_view(padded, frame)[::hop], axis=-1)
 
     def convolve(self, kernel: np.ndarray) -> np.ndarray:
         """Full linear convolution of the signal with ``kernel``."""
         k = len(kernel)
         if not 1 <= k <= self.m:
             raise ValueError(f"kernel length {k} outside 1 .. {self.m}")
-        out = scipy.fft.irfft(self._spec * scipy.fft.rfft(kernel, self.frame),
-                              self.frame, axis=-1)
+        out = np.fft.irfft(self._spec * np.fft.rfft(kernel, self.frame), self.frame, axis=-1)
         return out[:, self.skip:].reshape(-1)[:self.n + k - 1]

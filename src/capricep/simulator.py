@@ -15,10 +15,10 @@ from .fftconv import OverlapSave
 MAX_PAD_SAMPLES = 2 ** 24
 
 
-def _whole_number(d: dict, key: str) -> int:
-    """d[key] (0 when absent) as an int; a bool, a fraction, a non-finite
-    or a non-numeric value raises SignalError rather than being coerced."""
-    value = d.get(key, 0)
+def _whole_number(value, key: str) -> int:
+    """value, the field ``key``, as an int; a bool, a fraction, a
+    non-finite or a non-numeric value raises SignalError rather than
+    being coerced."""
     if not isinstance(value, bool):
         if isinstance(value, numbers.Integral):
             return int(value)
@@ -56,10 +56,10 @@ class VirtualSystem:
             period, depth = self.drift
             if period <= 0 or not 0.0 <= depth < 0.5:
                 raise SignalError("drift depth must be in [0, 0.5) with period > 0")
-        if not 0 <= self.latency_samples <= MAX_PAD_SAMPLES:
+        if not 0 <= _whole_number(self.latency_samples, "latency_samples") <= MAX_PAD_SAMPLES:
             raise SignalError(
                 f"latency_samples={self.latency_samples} outside 0 .. {MAX_PAD_SAMPLES}")
-        if self.noise_seed < 0:
+        if _whole_number(self.noise_seed, "noise_seed") < 0:
             raise SignalError("noise_seed must be nonnegative")
 
     def to_dict(self) -> dict:
@@ -85,8 +85,8 @@ class VirtualSystem:
                 nl_coeffs=tuple(float(c) for c in d.get("nl_coeffs", [1.0])),
                 noise_level_db=None if noise is None else float(noise),
                 drift=tuple(float(v) for v in d["drift"]) if d.get("drift") else None,
-                latency_samples=_whole_number(d, "latency_samples"),
-                noise_seed=_whole_number(d, "noise_seed"),
+                latency_samples=_whole_number(d.get("latency_samples", 0), "latency_samples"),
+                noise_seed=_whole_number(d.get("noise_seed", 0), "noise_seed"),
             )
         except KeyError as exc:
             raise SignalError(f"system description lacks {exc}") from exc
@@ -140,9 +140,9 @@ def run(
         t = np.arange(len(y)) / fs
         y = y * (1.0 + depth * np.sin(2.0 * np.pi * t / period_s))
 
-    y = np.concatenate([np.zeros(system.latency_samples), y])
+    y = np.concatenate([np.zeros(int(system.latency_samples)), y])
 
-    rng = np.random.default_rng(system.noise_seed)
+    rng = np.random.default_rng(int(system.noise_seed))
     if system.noise_level_db is not None:
         sigma = 10.0 ** (system.noise_level_db / 20.0)
         pre = rng.normal(0.0, sigma, n_pre)

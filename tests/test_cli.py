@@ -218,12 +218,32 @@ def test_augment_rejects_non_finite_or_silent_input(tmp_path, capsys, bad, messa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("option,value,message", [
+    ("--seed", "-1", "seed"),
+    ("--terd-ms", "1e308", "synthesis grid"),
+])
+def test_augment_rejects_a_negative_seed_or_a_huge_t_erd(tmp_path, capsys, option, value,
+                                                        message):
+    x = np.random.default_rng(0).standard_normal(800) * 0.1
+    write_wav(tmp_path / "in.wav", x, 8000.0, "float32")
+    rc = main(["augment", "--input", str(tmp_path / "in.wav"), option, value,
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv,message", [
     (["design", *FAST, "--truncation", "inf"], "must be finite"),
     (["design", *FAST, "--alpha", "nan"], "must be finite"),
     (["design", *FAST, "--cmag", "inf"], "must be finite"),
     (["design", *FAST, "--terd-ms", "nan"], "t_erd_s"),
     (["design", *FAST, "--terd-ms", "inf"], "t_erd_s"),
+    (["design", *FAST, "--seed", "-1"], "seed"),
+    (["design", *FAST, "--composite", "--seed", "-1"], "seed"),
+    (["make-signal", *FAST, "--seed", "-1"], "seed"),
+    (["design", *FAST, "--alpha", "1e-300"], "alpha or beta too small"),
     (["design", "--fs", "44100", "--fd", "250", "--composite", "--terd-ms", "nan"],
      "t_erd_s"),
     (["optimize", *FAST, "--units", "2", "--grid-step", "0"], "--grid-step"),
@@ -310,10 +330,11 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
-def test_importing_the_cli_loads_neither_scipy_signal_nor_scipy_stats():
-    """Either one costs about a second of start-up, and no subcommand needs it."""
+def test_importing_the_cli_loads_no_scipy_module():
+    """scipy is a test-only dependency: every transform is numpy.fft, and
+    scipy.fft alone would add about 0.3 s to every CLI call."""
     code = ("import sys, capricep.cli; "
-            "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])")
+            "print([m for m in sys.modules if m.startswith('scipy')])")
     src = str(Path(capricep.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}

@@ -1,10 +1,15 @@
 """Randomized unit design: section draws, rendering, serialization."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import capricep
 from capricep.design import (
     MAX_SYNTHESIS_FFT,
     DesignParams,
@@ -172,3 +177,36 @@ def test_oversized_synthesis_grid_rejected_before_drawing(monkeypatch):
     with pytest.raises(DesignError, match="synthesis grid"):
         composite_unit(raised_cosine_short_params(44100.0, 1),
                        DesignParams(fs=44100.0, fd=0.01, seed=0))
+
+
+def test_t_erd_too_large_to_round_is_a_design_error():
+    """n_keep = 4 * 1e308 * 8000 overflows to inf, which int(round()) cannot take."""
+    with pytest.raises(DesignError, match="synthesis grid"):
+        generate_unit(DesignParams(fs=8000.0, fd=250.0), 1e308)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+def test_a_seed_that_is_not_a_non_negative_integer_is_rejected(seed):
+    with pytest.raises(DesignError, match="seed"):
+        DesignParams(fs=8000.0, fd=250.0, seed=seed).validate()
+    with pytest.raises(DesignError, match="seed"):
+        derive_seed(seed, 0)
+    with pytest.raises(DesignError, match="seed"):
+        derive_unit_designs(DesignParams(fs=8000.0, fd=250.0, seed=seed), 2)
+
+
+def test_beta_draws_that_underflow_to_zero_end_in_a_design_error():
+    """alpha = 1e-300 makes every interval 0, so the draws never reach
+    Nyquist; this must fail within the cap, not loop forever."""
+    code = ("from capricep.design import DesignParams, draw_sections\n"
+            "from capricep.errors import DesignError\n"
+            "try:\n"
+            "    draw_sections(DesignParams(fs=44100.0, fd=40.0, alpha=1e-300))\n"
+            "except DesignError as exc:\n"
+            "    print(exc)\n")
+    path = [str(Path(capricep.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "alpha or beta too small" in proc.stdout

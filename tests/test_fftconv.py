@@ -1,9 +1,11 @@
-"""Overlap-save convolution against scipy's direct full convolution."""
+"""FFT convolution on numpy.fft against scipy's fftconvolve and
+next_fast_len, and numpy's direct correlation."""
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.signal import fftconvolve
 
-from capricep.fftconv import OverlapSave
+from capricep.fftconv import OverlapSave, autocorrelation, next_fast_len, valid_convolution
 
 # Frame and hop for a longest kernel of 256 samples: L = max(4096,
 # next_pow2(8 * 256)) = 4096, and each frame yields L - 255 samples.
@@ -47,3 +49,29 @@ def test_rejects_a_kernel_longer_than_declared():
         framed.convolve(np.ones(9))
     with pytest.raises(ValueError):
         OverlapSave(np.array([]), 8)
+
+
+def test_next_fast_len_is_scipys_real_fast_length():
+    for n in range(1, 60000):
+        assert next_fast_len(n) == scipy.fft.next_fast_len(n, True), n
+
+
+@pytest.mark.parametrize("la,lb", [(16000, 256), (3200, 1600), (1000, 999), (1000, 1000),
+                                   (7, 5), (5, 7), (33333, 4097), (2, 2)])
+def test_valid_convolution_is_fftconvolve_valid_bit_for_bit(la, lb):
+    """The background frames keep the bytes scipy.signal.fftconvolve gave them."""
+    rng = np.random.default_rng(la + lb)
+    a, b = rng.standard_normal(la), rng.standard_normal(lb)
+    want = fftconvolve(a, b, mode="valid")
+    got = valid_convolution(a, b)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 97, 256, 1000])
+def test_autocorrelation_matches_direct_correlation(n):
+    x = np.random.default_rng(n).standard_normal(n)
+    want = np.correlate(x, x, "full")
+    got = autocorrelation(x)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * want[n - 1]

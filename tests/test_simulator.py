@@ -118,6 +118,17 @@ def test_from_dict_maps_missing_and_mistyped_fields_to_signal_error(d):
         VirtualSystem.from_dict(d)
 
 
+@pytest.mark.parametrize("kw", [
+    dict(latency_samples=1.7), dict(latency_samples=True), dict(latency_samples=np.inf),
+    dict(noise_seed=1.5), dict(noise_seed=False), dict(noise_seed="5"),
+])
+def test_validate_rejects_a_field_that_is_not_a_whole_number(kw):
+    """Library callers get the check from_dict applies to a system file."""
+    (key,) = kw
+    with pytest.raises(SignalError, match=key):
+        run(VirtualSystem(lti_ir=(1.0,), noise_level_db=-60.0, **kw), np.ones(800), FS)
+
+
 def test_from_dict_accepts_whole_numbers_written_as_floats():
     system = VirtualSystem.from_dict({"lti_ir": [1.0], "latency_samples": 3.0,
                                       "noise_seed": np.int64(9)})
