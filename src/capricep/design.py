@@ -50,7 +50,7 @@ class DesignParams:
             raise DesignError("alpha, beta and cmag must be positive")
         if self.truncation_factor <= 0:
             raise DesignError("truncation_factor must be positive")
-        check_seed(self.seed)
+        _check_seed(self.seed)
 
     def nominal_t_erd(self) -> float:
         """Rectangle duration matching this design's variance profile."""
@@ -120,7 +120,7 @@ def first_order_count(sections: list[AllPassSection]) -> int:
     return 2 * len(sections)
 
 
-def check_seed(seed: int) -> None:
+def _check_seed(seed: int) -> None:
     """Reject a seed numpy cannot take: anything but an integer >= 0."""
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise DesignError(f"seed={seed!r} must be a non-negative integer")
@@ -128,7 +128,7 @@ def check_seed(seed: int) -> None:
 
 def derive_seed(base_seed: int, index: int) -> np.random.SeedSequence:
     """Independent per-unit RNG stream from (base seed, unit index)."""
-    check_seed(base_seed)
+    _check_seed(base_seed)
     return np.random.SeedSequence([int(base_seed), int(index)])
 
 
