@@ -58,6 +58,18 @@ def _cases(out: Path, seed: int, fs: int, fd: int):
                 "analyze", "--recording", d / "simulate/response.wav",
                 "--sidecar", d / "test_signal.json"]),
         ]
+    # a 1 s silence at 16 kHz spans two overlap-save frames of the
+    # background compression
+    d = out / "session_cycles_6"
+    cases += [
+        ("session_cycles_6/simulate_silence_1s", [
+            "simulate", "--signal", d / "test_signal.wav", "--system", out / "system.json",
+            "--pre-silence-s", "1.0"]),
+        ("session_cycles_6/analyze_silence_1s", [
+            "analyze", "--recording", d / "simulate_silence_1s/response.wav",
+            "--silence", d / "simulate_silence_1s/silence.wav",
+            "--sidecar", d / "test_signal.json"]),
+    ]
     cases += [
         ("augment_response", ["augment", "--input", out / "session/simulate/response.wav",
                               "--n-variants", "3", "--seed", str(seed)]),

@@ -140,7 +140,3 @@ def impulse_response(resp: CascadeResponse) -> tuple[np.ndarray, int]:
 def _check_n_fft(n_fft: int) -> None:
     if n_fft < 2 or (n_fft & (n_fft - 1)) != 0:
         raise SignalError(f"n_fft={n_fft} is not a power of two")
-
-
-def next_pow2(n: int) -> int:
-    return 1 << max(1, int(np.ceil(np.log2(max(2, n)))))

@@ -13,6 +13,8 @@ averaging across complete cycles, then the five-channel split:
 Compression is overlap-save convolution (``fftconv.OverlapSave``): the
 recording is cut into frames and transformed once, and each reversed
 unit then costs one short rfft and one batched irfft over the frames.
+The pre-signal silence goes through the same engine with the reversed
+fourth unit, keeping only the samples where the unit overlaps it whole.
 
 Orthogonalization uses the forward-shift (correlation) convention
 r[n] = (1/8) sum_k q[n + k*n_o] * b[k]: the reinforced pulses of every
@@ -28,11 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allpass import next_pow2
-from .bands import band_bins, mean_band_powers, third_octave_centers, to_db
+from . import bands
 from .design import UnitCapricep
 from .errors import AnalysisError
-from .fftconv import OverlapSave, valid_convolution
+from .fftconv import OverlapSave, next_pow2
 from .sequences import B4, check_session
 
 # Pre-roll (fraction of n_o) between window start and the pulse peak so
@@ -251,7 +252,7 @@ def _background_frames(
     if np.max(np.abs(silence)) >= 0.999 * max(1.0, scale):
         return None
     silence = silence / scale
-    qbg = valid_convolution(silence, u4[::-1])
+    qbg = OverlapSave(silence, len(u4)).convolve(u4[::-1])[len(u4) - 1:len(silence)]
     n_frames = len(qbg) // n_o
     if n_frames < 1:
         return None
@@ -266,33 +267,34 @@ def _level_table(
     w4: np.ndarray,
     background: np.ndarray | None,
 ) -> dict:
-    centers = third_octave_centers(fs)
+    centers = bands.third_octave_centers(fs)
     n_fft = next_pow2(max(256, 2 * n_o))
 
-    lti_band = mean_band_powers([lti_raw], fs, centers, n_fft)
+    lti_band = bands.band_powers(lti_raw, fs, centers, n_fft)
     reference = float(lti_band.max())
     if reference <= 0.0:
         raise AnalysisError("LTI response has no energy")
 
-    nonl_band = mean_band_powers(list(dev_stack), fs, centers, n_fft)
-    rntv_raw_band = mean_band_powers(list(w4), fs, centers, n_fft) * 8.0
-    bg_band = (mean_band_powers(list(background), fs, centers, n_fft)
+    # Frame stacks are averaged in power.
+    nonl_band = bands.band_powers(dev_stack, fs, centers, n_fft).mean(axis=0)
+    rntv_raw_band = bands.band_powers(w4, fs, centers, n_fft).mean(axis=0) * 8.0
+    bg_band = (bands.band_powers(background, fs, centers, n_fft).mean(axis=0)
                if background is not None else np.zeros(len(centers)))
     rntv_corr_band = np.maximum(rntv_raw_band - bg_band, 0.0)
 
     # Smoothed spectrum: per-band mean power (PSD smoothing), re-pinned
     # to the raw curve's peak so both LTI lines share the 0 dB point.
-    start, stop = band_bins(fs, centers, n_fft)
+    start, stop = bands.band_bins(fs, centers, n_fft)
     n_bins = stop - start
     smoothed = np.divide(lti_band, n_bins, out=np.zeros(len(centers)), where=n_bins > 0)
     smoothed_ref = float(smoothed.max()) if smoothed.max() > 0 else 1.0
 
     return {
         "freq_hz": centers,
-        "lti_l_db": to_db(lti_band, reference),
-        "lti_s_db": to_db(smoothed, smoothed_ref),
-        "nonl_ti_db": to_db(nonl_band, reference),
-        "rntv_db": to_db(rntv_corr_band, reference),
-        "pre_bg_db": to_db(bg_band, reference),
-        "rntv_raw_db": to_db(rntv_raw_band, reference),
+        "lti_l_db": bands.to_db(lti_band, reference),
+        "lti_s_db": bands.to_db(smoothed, smoothed_ref),
+        "nonl_ti_db": bands.to_db(nonl_band, reference),
+        "rntv_db": bands.to_db(rntv_corr_band, reference),
+        "pre_bg_db": bands.to_db(bg_band, reference),
+        "rntv_raw_db": bands.to_db(rntv_raw_band, reference),
     }

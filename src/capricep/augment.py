@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bands
-from .allpass import next_pow2
 from .design import (
     TERD_NOMINAL_RATIO,
     DesignParams,
@@ -39,7 +38,7 @@ from .design import (
     validate_t_erd,
 )
 from .errors import SignalError, TooFewSectionsError
-from .fftconv import OverlapSave, autocorrelation
+from .fftconv import OverlapSave, autocorrelation, next_pow2
 
 SNR_CAP_DB = 150.0
 DEFAULT_T_ERD_S = 0.002
@@ -72,12 +71,14 @@ def _aligned_snr_db(x: np.ndarray, y: np.ndarray, cc: np.ndarray) -> float:
     the most negative lag, the first maximum of |cc|.
     """
     lag = int(np.argmax(np.abs(cc, out=cc))) - (len(x) - 1)
-    if lag >= 0:
-        ya = y[lag:lag + len(x)]
+    if 0 <= lag <= len(y) - len(x):
+        ya = y[lag:lag + len(x)]  # a view: the usual case copies nothing
     else:
-        ya = np.concatenate([np.zeros(-lag), y])[: len(x)]
-    if len(ya) < len(x):
-        ya = np.concatenate([ya, np.zeros(len(x) - len(ya))])
+        # ya[i] = y[i + lag] where that sample exists, else 0.
+        ya = np.zeros(len(x))
+        lo = max(0, -lag)
+        seg = y[lo + lag:lag + len(x)]
+        ya[lo:lo + len(seg)] = seg
     denom = float(np.dot(ya, ya))
     gain = float(np.dot(x, ya)) / denom if denom > 0 else 1.0
     err = x - gain * ya

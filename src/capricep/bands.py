@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .allpass import next_pow2
+from .fftconv import next_pow2
 
 _DB_FLOOR = -300.0
 # Longest chirp-z FFT of band_lag_sums, unless 4 lags need more: a wider
@@ -34,19 +34,27 @@ def band_bins(fs: float, centers: np.ndarray, n_fft: int) -> tuple[np.ndarray, n
 
 
 def band_powers(x: np.ndarray, fs: float, centers: np.ndarray, n_fft: int) -> np.ndarray:
-    """Total spectral power per band of one time-domain frame.
+    """Total spectral power per band of each time-domain frame along the
+    last axis of x: shape x.shape[:-1] + (len(centers),).
 
     Power is |rfft|^2 summed over the band's bins and scaled by 1/n so
     the sum over all bins equals the frame energy (Parseval).
     """
-    spec = power_spectrum(x, n_fft)
-    start, stop = band_bins(fs, centers, n_fft)
-    return np.array([spec[a:b].sum() for a, b in zip(start, stop)])
+    return _band_sums(power_spectrum(x, n_fft), *band_bins(fs, centers, n_fft))
 
 
 def power_spectrum(x: np.ndarray, n_fft: int) -> np.ndarray:
-    """|rfft(x, n_fft)|^2 / n_fft, whose bins sum to the frame energy."""
+    """|rfft(x, n_fft)|^2 / n_fft along the last axis, whose bins sum to
+    the frame energy."""
     return np.abs(np.fft.rfft(x, n_fft)) ** 2 / n_fft
+
+
+def _band_sums(spec: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """spec summed over bins [start[b], stop[b]) along its last axis, per band b."""
+    sums = np.empty(spec.shape[:-1] + (len(start),))
+    for b, (lo, hi) in enumerate(zip(start, stop)):
+        sums[..., b] = spec[..., lo:hi].sum(axis=-1)
+    return sums
 
 
 def _chirp(t: np.ndarray, n_fft: int) -> np.ndarray:
@@ -93,17 +101,8 @@ def band_lag_sums(spec: np.ndarray, start: np.ndarray, stop: np.ndarray, n_fft: 
         k0 = np.array([k for _, k, _ in group])[:, None]
         turn = _chirp(np.arange(n_lags) + k0, n_fft) * np.conj(_chirp(k0, n_fft))
         np.add.at(sums, [b for b, _, _ in group], (conv * turn).real)
-    sums[:, 0] = [spec[a:z].sum() for a, z in zip(start, stop)]
+    sums[:, 0] = _band_sums(spec, start, stop)
     return sums
-
-
-def mean_band_powers(frames: list[np.ndarray], fs: float, centers: np.ndarray,
-                     n_fft: int) -> np.ndarray:
-    """Band powers averaged (in power) across frames of equal length."""
-    acc = np.zeros(len(centers))
-    for f in frames:
-        acc += band_powers(f, fs, centers, n_fft)
-    return acc / max(1, len(frames))
 
 
 def to_db(power: np.ndarray, reference: float = 1.0) -> np.ndarray:

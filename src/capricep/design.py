@@ -16,8 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .allpass import AllPassSection, cascade_phase, impulse_response, next_pow2
-from .errors import DesignError, TooFewSectionsError
+from .allpass import AllPassSection, cascade_phase, impulse_response
+from .errors import DesignError, TooFewSectionsError, whole_number
+from .fftconv import next_pow2
 
 DEFAULT_CMAG = 2.0 ** 0.25
 DEFAULT_ALPHA = 8.0
@@ -75,7 +76,7 @@ class DesignParams:
             alpha=float(d["alpha"]),
             beta=float(d["beta"]),
             cmag=float(d["cmag"]),
-            seed=int(d["seed"]),
+            seed=whole_number(d["seed"], "seed"),
             truncation_factor=float(d["truncation_factor"]),
         )
 

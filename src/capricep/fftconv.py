@@ -10,19 +10,23 @@ m, which keeps every FFT short however long x is.  When the whole
 convolution fits in L points it is one frame of next_fast_len(len(x) +
 m - 1) points with nothing dropped.
 
-``next_fast_len`` is the one rule for the length of a single-frame
-transform; ``valid_convolution`` and ``autocorrelation`` use it too.
+This module holds both FFT length rules: ``next_pow2`` for the
+overlap-save frames and the power-of-two grids of the other modules,
+and ``next_fast_len`` for a single-frame transform, which
+``autocorrelation`` uses too.
 """
 from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .allpass import next_pow2
-
 # Shortest overlap-save frame: below this, per-frame overhead outweighs
 # the shorter transforms.
 _MIN_FRAME = 4096
+
+
+def next_pow2(n: int) -> int:
+    return 1 << max(1, int(np.ceil(np.log2(max(2, n)))))
 
 
 def next_fast_len(n: int) -> int:
@@ -39,18 +43,6 @@ def next_fast_len(n: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
-
-
-def valid_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The 'valid' part of a * b, computed as scipy.signal.fftconvolve
-    computes it for inputs of two or more samples, so the bytes match:
-    the longer input first, one rfft pair on next_fast_len of the full
-    length, then the centred slice."""
-    if len(a) < len(b):
-        a, b = b, a
-    nf = next_fast_len(len(a) + len(b) - 1)
-    full = np.fft.irfft(np.fft.rfft(a, nf) * np.fft.rfft(b, nf), nf)
-    return full[len(b) - 1:len(a)]
 
 
 def autocorrelation(x: np.ndarray) -> np.ndarray:

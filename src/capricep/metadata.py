@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .design import DesignParams, UnitCapricep, generate_unit
-from .errors import SignalError
+from .errors import SignalError, whole_number
 
 SCHEMA_VERSION = 1
 
@@ -50,8 +50,8 @@ class SessionMetadata:
             meta = cls(
                 designs=[DesignParams.from_dict(d) for d in doc["designs"]],
                 t_erd_s=float(doc["t_erd_s"]),
-                n_o=int(doc["n_o"]),
-                n_repeats=int(doc["n_repeats"]),
+                n_o=whole_number(doc["n_o"], "n_o"),
+                n_repeats=whole_number(doc["n_repeats"], "n_repeats"),
                 scale=float(doc["scale"]),
                 fs=float(doc["fs"]),
             )

@@ -12,9 +12,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .allpass import next_pow2
 from .design import DesignParams, UnitCapricep, generate_ensemble
 from .errors import DesignError, SignalError
+from .fftconv import next_pow2
 
 
 @dataclass(frozen=True)

@@ -2,29 +2,16 @@
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SignalError
+from .errors import SignalError, whole_number
 from .fftconv import OverlapSave
 
 # Most samples of latency, or of pre-signal silence, the simulator will
 # allocate: 2**24 float64 samples are 128 MiB, over 5 minutes at 48 kHz.
 MAX_PAD_SAMPLES = 2 ** 24
-
-
-def _whole_number(value, key: str) -> int:
-    """value, the field ``key``, as an int; a bool, a fraction, a
-    non-finite or a non-numeric value raises SignalError rather than
-    being coerced."""
-    if not isinstance(value, bool):
-        if isinstance(value, numbers.Integral):
-            return int(value)
-        if isinstance(value, numbers.Real) and float(value).is_integer():
-            return int(value)
-    raise SignalError(f"{key} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,10 +43,10 @@ class VirtualSystem:
             period, depth = self.drift
             if period <= 0 or not 0.0 <= depth < 0.5:
                 raise SignalError("drift depth must be in [0, 0.5) with period > 0")
-        if not 0 <= _whole_number(self.latency_samples, "latency_samples") <= MAX_PAD_SAMPLES:
+        if not 0 <= whole_number(self.latency_samples, "latency_samples") <= MAX_PAD_SAMPLES:
             raise SignalError(
                 f"latency_samples={self.latency_samples} outside 0 .. {MAX_PAD_SAMPLES}")
-        if _whole_number(self.noise_seed, "noise_seed") < 0:
+        if whole_number(self.noise_seed, "noise_seed") < 0:
             raise SignalError("noise_seed must be nonnegative")
 
     def to_dict(self) -> dict:
@@ -85,8 +72,8 @@ class VirtualSystem:
                 nl_coeffs=tuple(float(c) for c in d.get("nl_coeffs", [1.0])),
                 noise_level_db=None if noise is None else float(noise),
                 drift=tuple(float(v) for v in d["drift"]) if d.get("drift") else None,
-                latency_samples=_whole_number(d.get("latency_samples", 0), "latency_samples"),
-                noise_seed=_whole_number(d.get("noise_seed", 0), "noise_seed"),
+                latency_samples=whole_number(d.get("latency_samples", 0), "latency_samples"),
+                noise_seed=whole_number(d.get("noise_seed", 0), "noise_seed"),
             )
         except KeyError as exc:
             raise SignalError(f"system description lacks {exc}") from exc

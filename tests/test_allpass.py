@@ -5,14 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
-from capricep.allpass import (
-    AllPassSection,
-    cascade_phase,
-    impulse_response,
-    next_pow2,
-)
+from capricep.allpass import AllPassSection, cascade_phase, impulse_response
 from capricep.design import DesignParams, draw_sections
 from capricep.errors import DesignError, SignalError
+from capricep.fftconv import next_pow2
 
 FS = 8000.0
 N_FFT = 8192

@@ -13,8 +13,10 @@ from capricep.analyzer import (
     synchronous_average,
     usable_omega,
 )
+from capricep.bands import band_powers, third_octave_centers, to_db
 from capricep.design import DesignParams, UnitCapricep, derive_unit_designs, generate_unit
 from capricep.errors import AnalysisError
+from capricep.fftconv import OverlapSave
 from capricep.sequences import (
     B4,
     build_sequence,
@@ -184,6 +186,56 @@ def test_decompose_identity_system_recovers_flat_response():
                 "rntv_db", "pre_bg_db", "rntv_raw_db"):
         assert key in result.levels_db
         assert len(result.levels_db[key]) == len(result.levels_db["freq_hz"])
+
+
+# A silence of 3 n_o fits one overlap-save frame; one of 20,000 samples
+# spans several, each dropping its wrapped head.
+@pytest.mark.parametrize("n_silence,one_frame", [(3 * 222, True), (20_000, False)])
+def test_background_frames_are_the_valid_compression_of_the_silence(n_silence, one_frame):
+    units = [generate_unit(d) for d in
+             derive_unit_designs(DesignParams(fs=8000.0, fd=250.0, seed=17))]
+    u4 = units[3].samples
+    n_o, scale = len(u4), 0.4
+    assert n_o == 222
+    silence = np.random.default_rng(n_silence).standard_normal(n_silence) * 0.1
+    assert (OverlapSave(silence, n_o).skip == 0) == one_frame
+    frames = _background_frames(silence, u4, n_o, scale)
+    valid = fftconvolve(silence / scale, u4[::-1], mode="valid")
+    n_frames = len(valid) // n_o
+    assert frames.shape == (n_frames, n_o)
+    want = valid[:n_frames * n_o].reshape(n_frames, n_o)
+    assert np.max(np.abs(frames - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_background_of_a_silence_shorter_than_the_unit_is_invalid():
+    """Without a sample where the whole unit overlaps the silence there
+    is no compressed background to measure."""
+    u4 = generate_unit(DesignParams(fs=8000.0, fd=250.0, seed=17)).samples
+    n_o = len(u4) // 4
+    silence = np.full(2 * n_o, 1e-3)
+    assert len(silence) < len(u4)
+    assert _background_frames(silence, u4, n_o, 1.0) is None
+
+
+def test_level_table_averages_each_frame_stack_in_power():
+    fs, n_o, n_fft = 8000.0, 200, 512
+    rng = np.random.default_rng(23)
+    lti_raw = rng.standard_normal(n_o)
+    dev_stack = rng.standard_normal((3, n_o))
+    w4 = rng.standard_normal((5, n_o))
+    background = 0.1 * rng.standard_normal((4, n_o))
+    levels = _level_table(fs, n_o, lti_raw, dev_stack, w4, background)
+
+    centers = third_octave_centers(fs)
+    def mean_power(frames):
+        return sum(band_powers(f, fs, centers, n_fft) for f in frames) / len(frames)
+    ref = band_powers(lti_raw, fs, centers, n_fft).max()
+    rntv_raw, bg = 8.0 * mean_power(w4), mean_power(background)
+    want = {"nonl_ti_db": mean_power(dev_stack), "rntv_raw_db": rntv_raw, "pre_bg_db": bg,
+            "rntv_db": np.maximum(rntv_raw - bg, 0.0)}
+    for key, power in want.items():
+        np.testing.assert_allclose(levels[key], to_db(power, ref), rtol=0, atol=1e-9,
+                                   err_msg=key)
 
 
 def test_decompose_without_silence_marks_background_invalid():

@@ -7,7 +7,6 @@ import pytest
 from scipy.signal import fftconvolve
 from scipy.stats import skew
 
-from capricep.allpass import next_pow2
 from capricep.augment import (
     HISTOGRAM_BINS,
     SNR_CAP_DB,
@@ -20,7 +19,7 @@ from capricep.bands import band_powers, third_octave_centers, to_db
 from capricep.cli import main
 from capricep.design import TERD_NOMINAL_RATIO, DesignParams, derive_unit_designs, generate_unit
 from capricep.errors import DesignError, SignalError, TooFewSectionsError
-from capricep.fftconv import OverlapSave
+from capricep.fftconv import OverlapSave, next_pow2
 from capricep.wavio import read_wav
 
 FS = 16000.0
@@ -244,6 +243,20 @@ def test_aligned_snr_finds_positive_and_wrapped_negative_lags(shift):
         expected = 10.0 * np.log10(np.dot(x, x) / np.dot(x[:-shift], x[:-shift]))
     assert _reference_aligned_snr_db(x, y) == pytest.approx(expected, abs=1e-9)
     assert _aligned_snr_db(x, y, _linear_xcorr(x, y)) == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("lag", [-9, -1, 0, 6, 7, 15])
+def test_aligned_snr_at_each_placement_of_x_against_y(lag):
+    """x starts before y (lag < 0), lies inside it (0 .. 6) or runs past
+    its end (7 .. 15); zeros stand in for the samples y lacks."""
+    rng = np.random.default_rng(11)
+    x, y = rng.standard_normal(10), rng.standard_normal(16)
+    cc = np.zeros(len(x) + len(y) - 1)
+    cc[lag + len(x) - 1] = 1.0
+    padded = np.concatenate([np.zeros(len(x)), y, np.zeros(len(x))])
+    ya = padded[lag + len(x):lag + 2 * len(x)]
+    err = x - np.dot(x, ya) / np.dot(ya, ya) * ya
+    assert _aligned_snr_db(x, y, cc) == 10.0 * np.log10(np.dot(x, x) / np.dot(err, err))
 
 
 def test_aligned_snr_breaks_a_tie_toward_the_negative_lag():

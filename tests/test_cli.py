@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, outputs, reproducibility."""
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,7 +11,10 @@ import numpy as np
 import pytest
 
 import capricep
+from capricep.analyzer import decompose
 from capricep.cli import main
+from capricep.design import DesignParams, derive_unit_designs, generate_unit
+from capricep.sequences import build_test_signal, default_n_repeats
 from capricep.wavio import read_wav, write_wav
 
 FAST = ["--fs", "8000", "--fd", "250", "--seed", "7"]
@@ -85,20 +89,41 @@ def test_analyze_rejects_non_finite_recording(tmp_path, capsys):
     assert not (tmp_path / "out" / "levels.csv").exists()
 
 
-@pytest.mark.parametrize("field,value", [("n_o", None), ("scale", 0.0)])
+# "+0.9" adds a fraction to an integer field, which was once truncated
+# away with exit code 0.
+@pytest.mark.parametrize("field,value", [("n_o", None), ("scale", 0.0), ("n_o", "+0.9"),
+                                         ("n_repeats", "+0.9"), ("seed", "+0.9")])
 def test_analyze_rejects_malformed_sidecar(tmp_path, capsys, field, value):
     _simulated_session(tmp_path)
     doc = json.loads((tmp_path / "test_signal.json").read_text())
+    owner = doc["designs"][2] if field == "seed" else doc
     if value is None:
-        del doc[field]
+        del owner[field]
+    elif value == "+0.9":
+        owner[field] += 0.9
     else:
-        doc[field] = value
+        owner[field] = value
     (tmp_path / "bad.json").write_text(json.dumps(doc))
     capsys.readouterr()
     assert _analyze(tmp_path, sidecar="bad.json") == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
     assert not (tmp_path / "out" / "levels.csv").exists()
+
+
+def test_analyze_accepts_whole_numbers_written_as_floats(tmp_path):
+    _simulated_session(tmp_path)
+    assert _analyze(tmp_path) == 0
+    want = (tmp_path / "out" / "levels.csv").read_bytes()
+    doc = json.loads((tmp_path / "test_signal.json").read_text())
+    doc["n_o"] = float(doc["n_o"])
+    doc["n_repeats"] = float(doc["n_repeats"])
+    for design in doc["designs"]:
+        design["seed"] = float(design["seed"])
+    (tmp_path / "floats.json").write_text(json.dumps(doc))
+    (tmp_path / "out" / "levels.csv").unlink()
+    assert _analyze(tmp_path, sidecar="floats.json") == 0
+    assert (tmp_path / "out" / "levels.csv").read_bytes() == want
 
 
 @pytest.mark.parametrize("field,value,message", [
@@ -351,3 +376,32 @@ def test_augment_module_still_resolves_fftconvolve():
     assert augment_module.fftconvolve is fftconvolve
     with pytest.raises(AttributeError):
         augment_module.no_such_name
+
+
+def _load_perfbench(name):
+    """perfbench/<name>.py imported by path (perfbench is not a package)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_names_resolve_and_the_analyzer_spans_record():
+    """The benchmark wraps functions at the names their callers look up,
+    so moving or renaming one silently empties its layer."""
+    _load_perfbench("workloads")  # its from-imports must resolve too
+    spans = _load_perfbench("spans")
+    for owner, attr, _, _ in spans.PATCHES:
+        assert callable(getattr(owner, attr)), (owner, attr)
+
+    units = [generate_unit(d) for d in
+             derive_unit_designs(DesignParams(fs=8000.0, fd=250.0, seed=5))]
+    n_o = len(units[0].samples)
+    signal = build_test_signal(units, n_o, default_n_repeats(1))
+    silence = np.random.default_rng(5).standard_normal(4 * n_o) * 1e-3
+    with spans.installed(spans.Tracer()) as tracer:
+        decompose(signal, silence, units, n_o, default_n_repeats(1))
+    totals = tracer.totals()
+    assert totals["analyzer.compress"]["calls"] == 1
+    assert totals["bands.band_powers"]["calls"] == 4

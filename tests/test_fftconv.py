@@ -5,7 +5,7 @@ import pytest
 import scipy.fft
 from scipy.signal import fftconvolve
 
-from capricep.fftconv import OverlapSave, autocorrelation, next_fast_len, valid_convolution
+from capricep.fftconv import OverlapSave, autocorrelation, next_fast_len
 
 # Frame and hop for a longest kernel of 256 samples: L = max(4096,
 # next_pow2(8 * 256)) = 4096, and each frame yields L - 255 samples.
@@ -54,18 +54,6 @@ def test_rejects_a_kernel_longer_than_declared():
 def test_next_fast_len_is_scipys_real_fast_length():
     for n in range(1, 60000):
         assert next_fast_len(n) == scipy.fft.next_fast_len(n, True), n
-
-
-@pytest.mark.parametrize("la,lb", [(16000, 256), (3200, 1600), (1000, 999), (1000, 1000),
-                                   (7, 5), (5, 7), (33333, 4097), (2, 2)])
-def test_valid_convolution_is_fftconvolve_valid_bit_for_bit(la, lb):
-    """The background frames keep the bytes scipy.signal.fftconvolve gave them."""
-    rng = np.random.default_rng(la + lb)
-    a, b = rng.standard_normal(la), rng.standard_normal(lb)
-    want = fftconvolve(a, b, mode="valid")
-    got = valid_convolution(a, b)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 97, 256, 1000])

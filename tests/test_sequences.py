@@ -7,7 +7,6 @@ import pytest
 from capricep.bands import (
     band_edges,
     band_powers,
-    mean_band_powers,
     third_octave_centers,
     to_db,
 )
@@ -167,6 +166,9 @@ def test_band_powers_equal_the_boolean_mask_sums(fs, n, n_fft):
     frames = rng.standard_normal((3, n))
     centers = third_octave_centers(fs)
     expected = [_band_powers_by_mask(f, fs, centers, n_fft) for f in frames]
-    assert np.array_equal(band_powers(frames[0], fs, centers, n_fft), expected[0])
-    assert np.array_equal(mean_band_powers(list(frames), fs, centers, n_fft),
+    got = band_powers(frames, fs, centers, n_fft)
+    assert got.shape == (3, len(centers))
+    for row, want in zip(got, expected):
+        assert np.array_equal(row, want)
+    assert np.array_equal(got.mean(axis=0),
                           (0.0 + expected[0] + expected[1] + expected[2]) / 3)
