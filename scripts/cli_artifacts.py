@@ -5,7 +5,8 @@ Usage: python3 scripts/cli_artifacts.py SRC OUT
 SRC is the directory that holds the ``capricep`` package (a checkout's
 ``src``); OUT is created and filled.  All seven subcommands run through
 ``capricep.cli.main`` in this process on seeds 7 and 12345 at 8 kHz /
-fd 250 Hz and 16 kHz / fd 100 Hz.  Each run leaves its files in its own
+fd 250 Hz and 16 kHz / fd 100 Hz, and ``augment`` also on a 1 s pure
+tone (``tone.wav``).  Each run leaves its files in its own
 directory, and ``runs.txt`` records its arguments, exit code, stdout and
 stderr with the OUT and SRC paths masked, so two trees compare with
 ``diff -r OUT1 OUT2``.
@@ -14,8 +15,11 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import sys
 import traceback
+import wave
+from array import array
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -23,6 +27,19 @@ SEEDS = (7, 12345)
 RATES = ((8000, 250), (16000, 100))
 SYSTEM = {"lti_ir": [1.0, 0.0, -0.3, 0.1], "nl_coeffs": [1.0, 0.0, 0.05],
           "noise_level_db": -60, "drift": [2.0, 0.1], "latency_samples": 123}
+
+
+def _write_tone(path: Path, fs: int) -> None:
+    """One second of a half-scale 440 Hz sine as 16-bit PCM."""
+    samples = array("h", (round(16384 * math.sin(2 * math.pi * 440 * i / fs))
+                          for i in range(fs)))
+    if sys.byteorder == "big":
+        samples.byteswap()
+    with wave.open(str(path), "wb") as w:
+        w.setnchannels(1)
+        w.setsampwidth(2)
+        w.setframerate(fs)
+        w.writeframes(samples.tobytes())
 
 
 def _cases(out: Path, seed: int, fs: int, fd: int):
@@ -75,6 +92,10 @@ def _cases(out: Path, seed: int, fs: int, fd: int):
                               "--n-variants", "3", "--seed", str(seed)]),
         ("augment_unit", ["augment", "--input", out / "design/unit.wav",
                           "--n-variants", "2", "--seed", str(seed), "--terd-ms", "1"]),
+        # a periodic input: no lag window can be proven to hold the SNR
+        # alignment peak, so every variant's lag is searched at every lag
+        ("augment_tone", ["augment", "--input", out / "tone.wav",
+                          "--n-variants", "3", "--seed", str(seed)]),
     ]
     return cases
 
@@ -100,6 +121,7 @@ def main(argv: list[str]) -> int:
             out = root / f"seed{seed}_fs{fs}_fd{fd}"
             out.mkdir(parents=True)
             (out / "system.json").write_text(json.dumps(SYSTEM))
+            _write_tone(out / "tone.wav", fs)
             with open(out / "runs.txt", "w") as log:
                 for name, args in _cases(out, seed, fs, fd):
                     args = [str(a) for a in args] + ["--out-dir", str(out / name)]

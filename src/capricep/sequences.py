@@ -1,6 +1,8 @@
 """Periodic overlap-add test sequences weighted by the orthogonal B4 rows."""
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from .design import UnitCapricep
@@ -46,8 +48,9 @@ def _check_layout(length: int, n_o: int, n_repeats: int) -> None:
 
 def check_session(units: list[UnitCapricep], n_o: int, n_repeats: int) -> None:
     """Reject a session the B4 layout cannot carry: it needs exactly four
-    units of one fs and length, n_o >= 1, at least one 8-cycle and at
-    most _MAX_OVERLAP overlapping unit copies."""
+    distinct units of one fs and length, n_o >= 1, at least one 8-cycle
+    and at most _MAX_OVERLAP overlapping unit copies.  Two units with
+    equal samples cannot be told apart in the recording."""
     if len(units) != 4:
         raise SignalError("need exactly 4 units")
     fs = units[0].fs
@@ -55,6 +58,9 @@ def check_session(units: list[UnitCapricep], n_o: int, n_repeats: int) -> None:
     for u in units[1:]:
         if u.fs != fs or len(u.samples) != length:
             raise SignalError("units must share fs and length")
+    for i, j in combinations(range(4), 2):
+        if np.array_equal(units[i].samples, units[j].samples):
+            raise SignalError(f"units {i} and {j} have equal samples")
     _check_layout(length, n_o, n_repeats)
 
 

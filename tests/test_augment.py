@@ -1,10 +1,11 @@
 """All-pass filter-bank augmentation: invariants and reporting."""
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.signal import fftconvolve
+from scipy.signal import fftconvolve, lfilter
 from scipy.stats import skew
 
 from capricep.augment import (
@@ -12,6 +13,8 @@ from capricep.augment import (
     SNR_CAP_DB,
     _aligned_snr_db,
     _histogram,
+    _LagSearch,
+    _peak_lag,
     _skewness,
     augment,
 )
@@ -19,7 +22,7 @@ from capricep.bands import band_powers, third_octave_centers, to_db
 from capricep.cli import main
 from capricep.design import TERD_NOMINAL_RATIO, DesignParams, derive_unit_designs, generate_unit
 from capricep.errors import DesignError, SignalError, TooFewSectionsError
-from capricep.fftconv import OverlapSave, next_pow2
+from capricep.fftconv import OverlapSave, autocorrelation, next_pow2
 from capricep.wavio import read_wav
 
 FS = 16000.0
@@ -242,7 +245,9 @@ def test_aligned_snr_finds_positive_and_wrapped_negative_lags(shift):
         # Aligned at the right lag, only the advanced-off head x[:-shift] is lost.
         expected = 10.0 * np.log10(np.dot(x, x) / np.dot(x[:-shift], x[:-shift]))
     assert _reference_aligned_snr_db(x, y) == pytest.approx(expected, abs=1e-9)
-    assert _aligned_snr_db(x, y, _linear_xcorr(x, y)) == pytest.approx(expected, abs=1e-9)
+    lag = _peak_lag(_linear_xcorr(x, y), 1 - len(x))
+    assert lag == shift
+    assert _aligned_snr_db(x, y, lag) == pytest.approx(expected, abs=1e-9)
 
 
 @pytest.mark.parametrize("lag", [-9, -1, 0, 6, 7, 15])
@@ -251,12 +256,10 @@ def test_aligned_snr_at_each_placement_of_x_against_y(lag):
     its end (7 .. 15); zeros stand in for the samples y lacks."""
     rng = np.random.default_rng(11)
     x, y = rng.standard_normal(10), rng.standard_normal(16)
-    cc = np.zeros(len(x) + len(y) - 1)
-    cc[lag + len(x) - 1] = 1.0
     padded = np.concatenate([np.zeros(len(x)), y, np.zeros(len(x))])
     ya = padded[lag + len(x):lag + 2 * len(x)]
     err = x - np.dot(x, ya) / np.dot(ya, ya) * ya
-    assert _aligned_snr_db(x, y, cc) == 10.0 * np.log10(np.dot(x, x) / np.dot(err, err))
+    assert _aligned_snr_db(x, y, lag) == 10.0 * np.log10(np.dot(x, x) / np.dot(err, err))
 
 
 def test_aligned_snr_breaks_a_tie_toward_the_negative_lag():
@@ -266,7 +269,128 @@ def test_aligned_snr_breaks_a_tie_toward_the_negative_lag():
     y = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     cc = np.zeros(len(x) + len(y) - 1)  # lag l at cc[l + 2]
     cc[4], cc[0] = 1.0, -1.0
-    assert _aligned_snr_db(x, y, cc) == SNR_CAP_DB  # lag +2 would give 0 dB
+    lag = _peak_lag(cc, 1 - len(x))
+    assert lag == -2
+    assert _aligned_snr_db(x, y, lag) == SNR_CAP_DB  # lag +2 would give 0 dB
+
+
+def _noise_with_random_pulses(n, seed):
+    rng = np.random.default_rng(seed)
+    x = 0.1 * rng.standard_normal(n)
+    x[rng.integers(0, n, n // 97)] += 0.8
+    return x
+
+
+def _speech_like(n, seed):
+    """Syllables with pauses: voiced ones are a gliding 90-220 Hz pulse
+    train through three formant resonators, the rest filtered noise."""
+    rng = np.random.default_rng(seed)
+    x = 1e-3 * rng.standard_normal(n)
+    pos = int(rng.uniform(0.05, 0.2) * FS)
+    while pos < n:
+        length = min(n - pos, int(rng.uniform(0.08, 0.35) * FS))
+        if rng.random() < 0.75:
+            glide = 1.0 + 0.15 * rng.uniform(-1.0, 1.0) * np.linspace(-1.0, 1.0, length)
+            pulses = np.diff(np.floor(np.cumsum(rng.uniform(90.0, 220.0) * glide / FS)),
+                             prepend=0.0)
+            seg = np.zeros(length)
+            for lo, hi, bw in ((300, 900, 80), (900, 2400, 110), (2400, 3500, 160)):
+                rad = np.exp(-np.pi * bw / FS)
+                cos = np.cos(2.0 * np.pi * rng.uniform(lo, hi) / FS)
+                seg += lfilter([1.0 - rad], [1.0, -2.0 * rad * cos, rad * rad], pulses)
+        else:
+            seg = lfilter([1.0, -0.9], [1.0], rng.normal(0.0, 0.3, length))
+        x[pos:pos + length] += seg * np.hanning(length) * rng.uniform(0.3, 1.0)
+        pos += length + int(rng.uniform(0.02, 0.2) * FS)
+    return x
+
+
+def _full_search_lag(x, m, u):
+    """The lag of the first maximum of |r_xx * u| over every lag."""
+    return _peak_lag(OverlapSave(autocorrelation(x), m).convolve(u), 1 - len(x))
+
+
+def _check_lags_and_snrs(x, seed, n_variants=4):
+    """augment's SNRs are bit-identical to those at the full search's
+    lags; returns how many variants the lag search had to search fully."""
+    base = DesignParams(fs=FS, fd=868.0, seed=seed, truncation_factor=8.0)
+    units = [generate_unit(p, 0.002).samples for p in derive_unit_designs(base, n_variants)]
+    m = max(map(len, units))
+    search = _LagSearch(x, m)
+    variants, rep = augment(x, FS, base_params=base, n_variants=n_variants, seed=seed)
+    for u, y, snr in zip(units, variants, rep.snr_db):
+        lag = _full_search_lag(x, m, u)
+        assert search.lag(u) == lag
+        assert snr == _aligned_snr_db(x, y, lag)
+    return search.full_searches
+
+
+@pytest.mark.parametrize("signal", [_noise_with_random_pulses, _speech_like])
+def test_certified_lag_and_snr_equal_the_full_search(signal):
+    full = sum(_check_lags_and_snrs(signal(32000, seed), seed) for seed in range(12))
+    assert full <= 12  # of 48 variants: the certificate proves most lags
+
+
+@pytest.mark.parametrize("signal", [
+    lambda n: 0.5 * np.sin(2.0 * np.pi * 1000.0 * np.arange(n) / FS),
+    lambda n: (np.arange(n) % 97 == 0).astype(float),
+], ids=["pure-tone", "pulse-train-97"])
+def test_periodic_inputs_fall_back_to_the_full_search(signal):
+    """A periodic input's autocorrelation is as large far from lag 0 as
+    near it, so no window bound can prove the peak."""
+    assert _check_lags_and_snrs(signal(32000), seed=3) == 4
+
+
+def test_certified_search_breaks_a_tie_toward_the_negative_lag():
+    """An impulse's autocorrelation is exactly one 1.0 at lag 0, so cc
+    is u itself at lags 0 .. 3, with |cc| = 1 at lags 1 and 3."""
+    x = np.zeros(2048)  # 2 * 2048 - 1 rounds up to a 4096-point FFT
+    x[0] = 1.0
+    search = _LagSearch(x, 4)
+    assert search.lag(np.array([0.5, -1.0, 0.25, 1.0])) == 1
+    assert search.full_searches == 0
+
+
+@pytest.mark.parametrize("n", [5 * 256 + 1, 5 * 256 + 2, 5 * 256 + 257])
+def test_inputs_just_past_the_window_find_the_full_search_lag(n):
+    x = _noise_with_random_pulses(n, seed=n)
+    u = generate_unit(DesignParams(fs=FS, fd=868.0, seed=1, truncation_factor=8.0),
+                      0.002).samples
+    search = _LagSearch(x, len(u))
+    for k in (len(u), 1):
+        assert search.lag(u[:k]) == _full_search_lag(x, len(u), u[:k])
+
+
+@pytest.mark.parametrize("n", [1, 100, 5 * 256])
+def test_inputs_without_lags_outside_the_window_search_every_lag(n):
+    """The window spans 5 m lags: no shorter input leaves a lag for the
+    bound to exclude, so every variant is searched at every lag."""
+    x = _noise_with_random_pulses(n, seed=n)
+    u = generate_unit(DesignParams(fs=FS, fd=868.0, seed=1, truncation_factor=8.0),
+                      0.002).samples
+    assert len(u) == 256
+    search = _LagSearch(x, len(u))
+    assert search.lag(u) == _full_search_lag(x, len(u), u)
+    assert search.lag(u[:100]) == _full_search_lag(x, len(u), u[:100])
+    assert search.full_searches == 2
+
+
+# tracemalloc peak of the call below on the parent of the certified lag
+# search (commit 2decc89, numpy 2.4.6), which correlated every variant
+# with the input at every lag by overlap-save.
+_FULL_SEARCH_PEAK_BYTES = 30_409_519
+
+
+def test_certified_search_uses_no_more_memory_than_the_full_search():
+    x = _noise_with_random_pulses(160_000, seed=0)
+    augment(x[:8000], FS, n_variants=1, seed=1)  # leave first-call caches out
+    tracemalloc.start()
+    try:
+        augment(x, FS, n_variants=16, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= _FULL_SEARCH_PEAK_BYTES
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -144,6 +144,19 @@ def test_analyze_rejects_bad_session_layout(tmp_path, capsys, field, value, mess
     assert not (tmp_path / "out" / "levels.csv").exists()
 
 
+def test_analyze_rejects_a_sidecar_of_four_identical_designs(tmp_path, capsys):
+    """Four copies of one unit cannot be separated into channels."""
+    _simulated_session(tmp_path)
+    doc = json.loads((tmp_path / "test_signal.json").read_text())
+    doc["designs"] = [doc["designs"][0]] * 4
+    (tmp_path / "same.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert _analyze(tmp_path, sidecar="same.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "equal samples" in err
+    assert not (tmp_path / "out" / "levels.csv").exists()
+
+
 def test_make_signal_rejects_zero_n_o(tmp_path, capsys):
     rc = main(["make-signal", *FAST, "--n-o", "0", "--out-dir", str(tmp_path)])
     assert rc == 1

@@ -22,9 +22,9 @@ from capricep.sequences import (
 )
 
 
-def _delta_unit(length: int, fs: float = 1000.0) -> UnitCapricep:
+def _delta_unit(length: int, fs: float = 1000.0, at: int = 0) -> UnitCapricep:
     samples = np.zeros(length)
-    samples[0] = 1.0
+    samples[at] = 1.0
     design = DesignParams(fs=fs, fd=fs / 8.0, seed=0)
     return UnitCapricep(samples=samples, fs=fs, center_index=0,
                         t_erd_s=length / fs / 4.0, design=design, sections=[])
@@ -101,14 +101,27 @@ def test_pile_up_guard_and_bad_arguments():
     ((100,) * 4, 1000.0, 6, 8, "overlap"),  # 17 copies
 ])
 def test_check_session_rejects_each_layout_rule(lengths, fs, n_o, n_rep, match):
-    units = [_delta_unit(n) for n in lengths]
-    units[-1] = _delta_unit(lengths[-1], fs)
-    check_session([_delta_unit(100)] * 4, 7, 8)  # 15 copies pass
+    units = [_delta_unit(n, at=i) for i, n in enumerate(lengths)]
+    units[-1] = _delta_unit(lengths[-1], fs, at=len(units) - 1)
+    check_session([_delta_unit(100, at=i) for i in range(4)], 7, 8)  # 15 copies pass
     with pytest.raises(SignalError, match=match):
         check_session(units, n_o, n_rep)
     if len(units) == 4:
         with pytest.raises(SignalError, match=match):
             build_test_signal(units, n_o, n_rep)
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (0, 3), (1, 2), (2, 3)])
+def test_check_session_rejects_two_units_with_equal_samples(pair):
+    """Equal units give equal sequences, which no B4 orthogonalization
+    can separate into channels."""
+    units = [_delta_unit(100, at=i) for i in range(4)]
+    i, j = pair
+    units[j] = _delta_unit(100, at=i)
+    with pytest.raises(SignalError, match=f"units {i} and {j} have equal samples"):
+        check_session(units, 10, 8)
+    with pytest.raises(SignalError, match="equal samples"):
+        build_test_signal(units, 10, 8)
 
 
 def test_defaults():
