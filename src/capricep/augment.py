@@ -15,10 +15,10 @@ len(y)-1, where r_xx is the input's autocorrelation.  By Cauchy-Schwarz
 no lag L can reach more than |u| times the norm of the m samples of r_xx
 that end at L, so one running sum of r_xx^2 per call bounds every lag
 outside a window of 5 m lags around 0 (``_LagSearch``).  A variant's
-search is then one direct correlation of u with a short slice of r_xx
-over that window; only when the window's peak does not beat the bound,
-or the window covers every lag, does it correlate at every lag by
-overlap-save.  Band levels use their own report grid,
+search is then one circular correlation of u with the short slice of
+r_xx that window reads, on a grid of about 6 m points; only when the
+window's peak does not beat the bound, or the window covers every lag,
+does it correlate at every lag by overlap-save.  Band levels use their own report grid,
 next_pow2 of the longest variant.  It holds every variant whole, so a
 variant's report spectrum is exactly X U, and band b's power is
 sum |X|^2 |U|^2 = sum_l c[l] S[b, l], where c = (a[0], 2 a[1], ...) comes
@@ -44,7 +44,7 @@ from .design import (
     validate_t_erd,
 )
 from .errors import SignalError, TooFewSectionsError
-from .fftconv import OverlapSave, autocorrelation, next_pow2
+from .fftconv import OverlapSave, autocorrelation, next_fast_len, next_pow2
 
 SNR_CAP_DB = 150.0
 DEFAULT_T_ERD_S = 0.002
@@ -91,7 +91,7 @@ class _LagSearch:
     for every lag L; once per call the largest such window norm outside
     lags -W .. m-1+W is taken from one running sum of r^2.  A variant
     whose peak |cc| inside that window beats |u| times that bound has its
-    lag proven by a direct correlation over the window alone; any other
+    lag proven by a correlation over the window alone; any other
     variant, and every variant of an input too short to leave lags
     outside the window, is searched at every lag by overlap-save.
     ``full_searches`` counts those.
@@ -101,14 +101,21 @@ class _LagSearch:
         self._x, self._m = x, m
         self._w = w = _WINDOW_UNITS * m
         self._full: OverlapSave | None = None  # built on first need
-        self._near: np.ndarray | None = None
+        self._near: np.ndarray | None = None  # spectrum of the window's r
         self.full_searches = 0
         n = len(x)
         if n <= 2 * w + m:
             return
         r = autocorrelation(x)  # lag L at r[n - 1 + L]
-        # Lags -W-(m-1) .. m-1+W: every sample of r the window's cc reads.
-        self._near = r[n - 1 - w - (m - 1):n + m + w].copy()
+        # The window's cc reads r at lags -W-(m-1) .. m-1+W.  With lag L
+        # at (L + W) mod nf on a grid of nf >= 2W + 2m - 1 points, one
+        # circular convolution holds cc at lags -W .. m-1+W, unaliased, in
+        # its first 2W + m points.
+        self._nf = nf = next_fast_len(2 * w + 2 * m - 1)
+        near = np.zeros(nf)
+        near[:2 * w + m] = r[n - 1 - w:n - 1 + m + w]
+        near[nf - (m - 1):] = r[n - w - m:n - 1 - w]
+        self._near = np.fft.rfft(near)
         np.square(r, out=r)
         np.cumsum(r, out=r)  # now r[i] is the sum of r^2 up to index i
         # The squared norm of the m samples of r ending at index i is
@@ -119,14 +126,20 @@ class _LagSearch:
         lo, hi = n - 1 - w, n + m - 1 + w
         outside = max(r[m - 1], (r[m:lo] - r[:lo - m]).max(), (r[hi:] - r[hi - m:-m]).max())
         # np.cumsum adds in order, so each running sum is off by at most
-        # len(r) * eps of the total and each difference by twice that; the
-        # further 2 len(r) * eps of the total covers the rounding of the
-        # correlations, of order m * eps * |r| |u|.
-        self._outside2 = outside + 4.0 * len(r) * np.finfo(float).eps * r[-1]
+        # len(r) * eps of the total and each difference by twice that.  The
+        # other 14 len(r) eps of the total lift the bound on |cc| by at
+        # least 7 len(r) eps |r| |u|, above the rounding of either FFT
+        # correlation, a few eps log2(frame) sqrt(m) |r| |u| (len(r) > 10 m).
+        self._outside2 = outside + 16.0 * len(r) * np.finfo(float).eps * r[-1]
+
+    def window_cc(self, u: np.ndarray) -> np.ndarray:
+        """cc at lags -W .. m-1+W, for an input that leaves lags outside."""
+        cc = np.fft.irfft(self._near * np.fft.rfft(u, self._nf), self._nf)
+        return cc[:2 * self._w + self._m]
 
     def lag(self, u: np.ndarray) -> int:
         if self._near is not None:
-            cc = np.convolve(self._near[self._m - len(u):], u, "valid")
+            cc = self.window_cc(u)
             lag = _peak_lag(cc, -self._w)
             if cc[lag + self._w] ** 2 > np.dot(u, u) * self._outside2:
                 return lag

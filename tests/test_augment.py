@@ -264,7 +264,8 @@ def test_aligned_snr_at_each_placement_of_x_against_y(lag):
 
 def test_aligned_snr_breaks_a_tie_toward_the_negative_lag():
     """Equal |cc| at lags -2 and +2: the first in lag order wins, as an
-    argmax over -(len(x) - 1) .. len(y) - 1 would pick it."""
+    argmax over -(len(x) - 1) .. len(y) - 1 would pick it.  Both lag
+    searches, over a window or over every lag, pick with ``_peak_lag``."""
     x = np.array([0.0, 0.0, 1.0])
     y = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     cc = np.zeros(len(x) + len(y) - 1)  # lag l at cc[l + 2]
@@ -272,6 +273,7 @@ def test_aligned_snr_breaks_a_tie_toward_the_negative_lag():
     lag = _peak_lag(cc, 1 - len(x))
     assert lag == -2
     assert _aligned_snr_db(x, y, lag) == SNR_CAP_DB  # lag +2 would give 0 dB
+    assert _peak_lag(np.array([0.5, -2.0, 1.0, 2.0]), -512) == -511
 
 
 def _noise_with_random_pulses(n, seed):
@@ -341,23 +343,19 @@ def test_periodic_inputs_fall_back_to_the_full_search(signal):
     assert _check_lags_and_snrs(signal(32000), seed=3) == 4
 
 
-def test_certified_search_breaks_a_tie_toward_the_negative_lag():
-    """An impulse's autocorrelation is exactly one 1.0 at lag 0, so cc
-    is u itself at lags 0 .. 3, with |cc| = 1 at lags 1 and 3."""
-    x = np.zeros(2048)  # 2 * 2048 - 1 rounds up to a 4096-point FFT
-    x[0] = 1.0
-    search = _LagSearch(x, 4)
-    assert search.lag(np.array([0.5, -1.0, 0.25, 1.0])) == 1
-    assert search.full_searches == 0
-
-
-@pytest.mark.parametrize("n", [5 * 256 + 1, 5 * 256 + 2, 5 * 256 + 257])
-def test_inputs_just_past_the_window_find_the_full_search_lag(n):
+@pytest.mark.parametrize("n", [5 * 256 + 1, 5 * 256 + 2, 5 * 256 + 257, 32000])
+def test_window_correlation_equals_the_full_one_at_every_window_lag(n):
+    """Lags -512 .. 767 of r_xx * u for units of 256 samples and shorter,
+    on inputs from just past the window's length up."""
     x = _noise_with_random_pulses(n, seed=n)
     u = generate_unit(DesignParams(fs=FS, fd=868.0, seed=1, truncation_factor=8.0),
                       0.002).samples
     search = _LagSearch(x, len(u))
-    for k in (len(u), 1):
+    full = OverlapSave(autocorrelation(x), len(u))
+    for k in (len(u), 100, 1):
+        cc = full.convolve(u[:k])[n - 1 - 512:n - 1 + 768]
+        np.testing.assert_allclose(search.window_cc(u[:k]), cc, rtol=0.0,
+                                   atol=1e-12 * np.max(np.abs(cc)))
         assert search.lag(u[:k]) == _full_search_lag(x, len(u), u[:k])
 
 
