@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
+import functools
 import itertools
 import sys
 from pathlib import Path
@@ -31,7 +32,7 @@ from .design import (
     raised_cosine_short_params,
 )
 from .errors import CapricepError, DesignError
-from .metadata import SessionMetadata
+from .metadata import SessionMetadata, unit_fingerprint
 from .sequences import build_test_signal, default_n_o, default_n_repeats
 from .shaping import coarse_search, optimize_terd, pairwise_max_xcorr
 from .simulator import VirtualSystem, run
@@ -151,7 +152,7 @@ def cmd_make_signal(args) -> int:
     scale = PEAK_TARGET / float(np.max(np.abs(signal)))
     meta = SessionMetadata(
         designs=designs, t_erd_s=t_erd, n_o=n_o, n_repeats=n_repeats,
-        scale=scale, fs=args.fs)
+        scale=scale, fs=args.fs, fingerprints=[unit_fingerprint(u) for u in units])
     args.out_dir.mkdir(parents=True, exist_ok=True)
     write_wav(args.out_dir / "test_signal.wav", signal * scale, args.fs, "float32")
     (args.out_dir / "test_signal.json").write_text(meta.to_json())
@@ -293,6 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: building it takes about 2 ms, and a process
+# may run many subcommands.  It is built on the first call, not on import.
+_parser = functools.cache(build_parser)
+
+
 # glibc's mallopt parameters, from <malloc.h>.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -319,8 +325,7 @@ def _keep_freed_heap() -> None:
 
 def main(argv=None) -> int:
     _keep_freed_heap()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CapricepError as exc:

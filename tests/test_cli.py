@@ -157,6 +157,109 @@ def test_analyze_rejects_a_sidecar_of_four_identical_designs(tmp_path, capsys):
     assert not (tmp_path / "out" / "levels.csv").exists()
 
 
+def test_session_sidecar_fingerprints_its_units_and_passes_its_own_check(tmp_path):
+    _simulated_session(tmp_path)
+    doc = json.loads((tmp_path / "test_signal.json").read_text())
+    assert doc["schema_version"] == 2
+    units = [generate_unit(DesignParams.from_dict(d), doc["t_erd_s"]) for d in doc["designs"]]
+    for unit, fp in zip(units, doc["fingerprints"], strict=True):
+        n = len(unit.samples)
+        assert fp["samples"] == [unit.samples[i] for i in (0, n // 4, n // 2, 3 * n // 4)]
+        assert fp["energy"] == unit.energy
+    assert _analyze(tmp_path) == 0
+
+
+# A relative change of 1e-6 is far above the 1e-9 bound; 1e-13 is the
+# size of a rounding difference between builds and must pass.
+@pytest.mark.parametrize("unit,key,factor,code", [
+    (2, "samples", 1 + 1e-6, 1), (0, "energy", 1 - 1e-6, 1), (3, "samples", 1 + 1e-13, 0)])
+def test_analyze_checks_regenerated_units_against_the_fingerprint(tmp_path, capsys, unit,
+                                                                   key, factor, code):
+    _simulated_session(tmp_path)
+    doc = json.loads((tmp_path / "test_signal.json").read_text())
+    fp = doc["fingerprints"][unit]
+    if key == "samples":
+        fp["samples"][2] *= factor  # the center sample
+    else:
+        fp["energy"] *= factor
+    (tmp_path / "tampered.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert _analyze(tmp_path, sidecar="tampered.json") == code
+    levels = tmp_path / "out" / "levels.csv"
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"unit {unit}" in err and "fingerprint" in err
+        assert not levels.exists()
+    else:
+        assert levels.exists()
+
+
+def test_analyze_reads_a_schema_1_sidecar_without_the_check(tmp_path):
+    _simulated_session(tmp_path)
+    assert _analyze(tmp_path) == 0
+    want = (tmp_path / "out" / "levels.csv").read_bytes()
+    doc = json.loads((tmp_path / "test_signal.json").read_text())
+    v1 = {key: doc[key] for key in ("tool_version", "fs", "t_erd_s", "n_o", "n_repeats",
+                                    "scale", "designs")}
+    v1["schema_version"] = 1
+    (tmp_path / "v1.json").write_text(json.dumps(v1))
+    (tmp_path / "out" / "levels.csv").unlink()
+    assert _analyze(tmp_path, sidecar="v1.json") == 0
+    assert (tmp_path / "out" / "levels.csv").read_bytes() == want
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"schema_version": 3}, "schema version 3"),
+    ({"schema_version": None}, "schema version None"),
+    ({"fingerprints": None}, "malformed sidecar"),
+    ({"fingerprints": [{"energy": 1.0, "samples": [0.0, 0.1, 0.5]}] * 4}, "4 finite samples"),
+    ({"fingerprints": [{"energy": float("nan"), "samples": [0.0] * 4}] * 4}, "finite energy"),
+    ({"fingerprints": [{"energy": 1.0, "samples": [0.0] * 4}] * 3}, "3 fingerprints"),
+])
+def test_analyze_rejects_an_unknown_schema_or_a_malformed_fingerprint(tmp_path, capsys,
+                                                                      change, message):
+    _simulated_session(tmp_path)
+    doc = json.loads((tmp_path / "test_signal.json").read_text())
+    doc.update(change)
+    if change == {"fingerprints": None}:
+        del doc["fingerprints"]  # a schema 2 sidecar cannot skip the check
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert _analyze(tmp_path, sidecar="bad.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "out" / "levels.csv").exists()
+
+
+def _run_main(argv, capsys):
+    """Exit code and output of one ``main`` call, usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr()
+
+
+def test_main_builds_its_parser_once_and_answers_as_a_fresh_one(tmp_path, capsys,
+                                                                monkeypatch):
+    def calls(out):
+        return [["design", *FAST, "--out-dir", str(out)],
+                ["design", *FAST, "--no-such-flag"],
+                ["make-signal", *FAST, "--cycles", "1", "--out-dir", str(out)],
+                ["--version"]]
+
+    reused = [_run_main(argv, capsys) for argv in calls(tmp_path / "a")]
+    assert capricep.cli._parser() is capricep.cli._parser()
+    monkeypatch.setattr(capricep.cli, "_parser", capricep.cli.build_parser)
+    fresh = [_run_main(argv, capsys) for argv in calls(tmp_path / "b")]
+    assert [code for code, _ in reused] == [0, 2, 0, 0]
+    assert reused == fresh
+    assert "unrecognized arguments: --no-such-flag" in reused[1][1].err
+    assert reused[3][1].out.strip() == capricep.__version__
+    for name in ("unit.wav", "unit.json", "test_signal.wav", "test_signal.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_make_signal_rejects_zero_n_o(tmp_path, capsys):
     rc = main(["make-signal", *FAST, "--n-o", "0", "--out-dir", str(tmp_path)])
     assert rc == 1
@@ -282,6 +385,7 @@ def test_augment_rejects_a_negative_seed_or_a_huge_t_erd(tmp_path, capsys, optio
     (["design", *FAST, "--composite", "--seed", "-1"], "seed"),
     (["make-signal", *FAST, "--seed", "-1"], "seed"),
     (["design", *FAST, "--alpha", "1e-300"], "alpha or beta too small"),
+    (["design", *FAST, "--cmag", "1e-9"], "too narrow"),
     (["design", "--fs", "44100", "--fd", "250", "--composite", "--terd-ms", "nan"],
      "t_erd_s"),
     (["optimize", *FAST, "--units", "2", "--grid-step", "0"], "--grid-step"),
