@@ -101,11 +101,13 @@ class CascadeResponse:
 def _pole_powers(f_hi: np.ndarray, f_lo: np.ndarray, log_r: np.ndarray, fs: float,
                  m: np.ndarray) -> np.ndarray:
     """(len(m), sections) array of z_i**m, with the angle m * theta_i
-    reduced mod 2 pi exactly: m * f_hi is exact for m < 2**27, fmod is
-    exact, and m * f_lo is at most 2 f_i."""
+    reduced mod 2 pi exactly: m * f_hi is exact for m < 2**29, fmod is
+    exact, and m * f_lo is at most f_i / 2 for m <= _MAX_TERMS.  A few
+    powers per section, so the complex exp costs little here; the large
+    power tables come from _powers."""
     m = m[:, None]
     angle = (np.fmod(m * f_hi, fs) + m * f_lo) * (2.0 * np.pi / fs)
-    return np.exp(m * log_r) * (np.cos(angle) + 1j * np.sin(angle))
+    return np.exp(m * log_r + 1j * angle)
 
 
 def _powers(base: np.ndarray, count: int) -> np.ndarray:
@@ -147,9 +149,8 @@ def _sections_phase_half(
     # B terms per row, about sqrt(N): few doubling steps for short series.
     terms = min(_ROW_TERMS, 1 << max(4, math.isqrt(int(n_max)).bit_length()))
     rows = int(n_max) // terms + 1
-    # Veltkamp split of the centers into 26 high bits and the rest.
-    scaled = centers * (2.0 ** 27 + 1.0)
-    f_hi = scaled - (scaled - centers)
+    # The centers rounded to float32 (24 significant bits), and the rest.
+    f_hi = centers.astype(np.float32).astype(float)
     f_lo = centers - f_hi
     # Powers 1 and B of each pole, then z^(h0 B) at each row block's start.
     starts = range(0, rows, _ROW_BLOCK)
@@ -208,7 +209,11 @@ def impulse_response(resp: CascadeResponse) -> tuple[np.ndarray, int]:
     two-sided exponential tails do not wrap through the array edges.
     """
     n = resp.fft_length
-    spectrum = np.exp(1j * resp.phase_half)
+    # exp(j phase) from real cos and sin: numpy's complex exp is slower,
+    # and both gave bit-identical responses on the grids tried.
+    spectrum = np.empty(len(resp.phase_half), dtype=complex)
+    np.cos(resp.phase_half, out=spectrum.real)
+    np.sin(resp.phase_half, out=spectrum.imag)
     # Nyquist and DC bins of a real response must be real.
     for idx in (0, len(spectrum) - 1):
         if abs(spectrum[idx].imag) > 1e-8:
@@ -216,8 +221,9 @@ def impulse_response(resp: CascadeResponse) -> tuple[np.ndarray, int]:
     h = np.fft.irfft(spectrum, n)
     # Circular energy centroid via the angular mean of |h|^2.
     energy = h * h
-    centroid = np.sum(energy * np.exp(2j * np.pi * np.arange(n) / n))
-    shift_from = int(np.round(np.angle(centroid) / (2.0 * np.pi) * n)) % n
+    turn = 2.0 * np.pi / n * np.arange(n)
+    angle = np.arctan2(energy @ np.sin(turn), energy @ np.cos(turn))
+    shift_from = int(np.round(angle / (2.0 * np.pi) * n)) % n
     center_index = n // 2
     h = np.roll(h, center_index - shift_from)
     return h, center_index
