@@ -111,7 +111,7 @@ def _pole_powers(f_hi: np.ndarray, f_lo: np.ndarray, log_r: np.ndarray, fs: floa
 
 
 def _powers(base: np.ndarray, count: int) -> np.ndarray:
-    """(count, sections) array of base**j, j < count, by doubling; row j
+    """(count, len(base)) array of base**j, j < count, by doubling; row j
     carries about j times the rounding of base."""
     out = np.empty((count, len(base)), dtype=complex)
     out[0] = 1.0

@@ -29,6 +29,7 @@ FINGERPRINT_TOL = 1e-9
 
 
 def unit_fingerprint(unit: UnitCapricep) -> dict:
+    """The unit's energy and its samples at 0, n/4, n/2 and 3n/4."""
     s = unit.samples
     n = len(s)
     return {"energy": unit.energy,
