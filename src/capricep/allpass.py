@@ -132,7 +132,10 @@ def _sections_phase_half(
     n_fft: int,
 ) -> np.ndarray:
     """Sum of per-section phases on the half grid, by the sine series."""
-    log_r = bandwidths * (-np.pi / fs)  # pole radii r_i = exp(log_r_i)
+    # Pole radii r_i = exp(log_r_i).  Below e^-700 every power r^n, n >= 1,
+    # is 0 in double precision; the floor keeps an infinite bandwidth's
+    # 0 * log_r finite.
+    log_r = np.maximum(bandwidths * (-np.pi / fs), -700.0)
     # For I sections the terms past N add at most 4 I r^N / (N (1 - r)),
     # r = exp(-a) the largest radius.  That is below _TAIL_RAD once
     # a N + ln N >= log_tol; two fixed-point steps from log_tol / a land

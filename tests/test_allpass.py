@@ -105,6 +105,14 @@ def test_sine_series_work_arrays_are_blocked():
     assert peak <= 12 * 2 ** 20
 
 
+@pytest.mark.parametrize("bw", [1e6, 1e300, np.inf])
+def test_a_section_wider_than_the_band_is_a_two_sample_delay(bw):
+    """r = exp(-pi bw / fs) rounds to 0: the section's phase is -2w."""
+    sections = [AllPassSection(1000.0, bw, 1), AllPassSection(3000.0, 80.0, -1)]
+    half = cascade_phase(sections, FS, 256).phase_half
+    assert np.max(np.abs(half - _arctan2_phase_half(sections, FS, 256))) <= 1e-12
+
+
 def test_section_too_narrow_for_the_series_is_refused():
     with pytest.raises(DesignError, match="too narrow"):
         cascade_phase([AllPassSection(1000.0, 1e-6)], FS, 256)
