@@ -78,7 +78,7 @@ class AllPassSection:
             raise DesignError(
                 f"center_freq_hz={self.center_freq_hz} outside (0, fs/2) for fs={fs}"
             )
-        if self.bandwidth_hz <= 0.0:
+        if not self.bandwidth_hz > 0.0:  # also NaN
             raise DesignError(f"bandwidth_hz={self.bandwidth_hz} must be > 0")
         if self.time_sign not in (1, -1):
             raise DesignError(f"time_sign={self.time_sign} must be +1 or -1")

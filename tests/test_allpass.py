@@ -237,6 +237,7 @@ def test_any_section_has_unit_magnitude(f0, bw, sign):
     AllPassSection(0.0, 10.0),
     AllPassSection(FS, 10.0),
     AllPassSection(100.0, -1.0),
+    AllPassSection(100.0, float("nan")),
     AllPassSection(100.0, 10.0, 0),
 ])
 def test_invalid_sections_rejected(bad):
