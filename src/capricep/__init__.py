@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .allpass import AllPassSection, CascadeResponse, cascade_phase, impulse_response
+from .allpass import CascadeResponse, cascade_phase, impulse_response
 from .design import (
     DesignParams,
     UnitCapricep,
@@ -16,7 +16,6 @@ from .simulator import VirtualSystem, run
 from .augment import AugmentReport, augment
 
 __all__ = [
-    "AllPassSection",
     "CascadeResponse",
     "cascade_phase",
     "impulse_response",

@@ -1,7 +1,9 @@
-"""All-pass building blocks: single sections and signed cascades.
+"""All-pass building blocks: signed cascades of second-order sections.
 
-A section is a real second-order all-pass realized from the conjugate
-pole pair {z, z*} with
+A cascade's sections are one numpy record of format SECTION_DTYPE, a
+row (center_freq_hz, bandwidth_hz, time_sign) per section.  A section
+is a real second-order all-pass realized from the conjugate pole pair
+{z, z*} with
 
     z = r e^{j theta} = exp(-pi * bandwidth / fs + 1j * 2 * pi * center / fs).
 
@@ -65,23 +67,9 @@ _TAIL_RAD = 1e-15
 _MAX_TERMS = 2 ** 23
 
 
-@dataclass(frozen=True)
-class AllPassSection:
-    """One all-pass stage: conjugate pole pair plus a time direction."""
-
-    center_freq_hz: float
-    bandwidth_hz: float
-    time_sign: int = 1
-
-    def validate(self, fs: float) -> None:
-        if not 0.0 < self.center_freq_hz < fs / 2.0:
-            raise DesignError(
-                f"center_freq_hz={self.center_freq_hz} outside (0, fs/2) for fs={fs}"
-            )
-        if not self.bandwidth_hz > 0.0:  # also NaN
-            raise DesignError(f"bandwidth_hz={self.bandwidth_hz} must be > 0")
-        if self.time_sign not in (1, -1):
-            raise DesignError(f"time_sign={self.time_sign} must be +1 or -1")
+# One row per section; time_sign -1 is the time-reversed section.
+SECTION_DTYPE = np.dtype([("center_freq_hz", float), ("bandwidth_hz", float),
+                          ("time_sign", np.int64)])
 
 
 @dataclass(frozen=True)
@@ -95,7 +83,6 @@ class CascadeResponse:
 
     phase_half: np.ndarray
     fft_length: int
-    sample_rate_hz: float
 
 
 def _pole_powers(f_hi: np.ndarray, f_lo: np.ndarray, log_r: np.ndarray, fs: float,
@@ -190,18 +177,24 @@ def _sections_phase_half(
     return slope * np.arange(n_fft // 2 + 1) + 4.0 * np.fft.rfft(c).imag
 
 
-def cascade_phase(sections: list[AllPassSection], fs: float, n_fft: int) -> CascadeResponse:
-    """Phase response of a signed cascade (sum of section phases)."""
+def cascade_phase(sections, fs: float, n_fft: int) -> CascadeResponse:
+    """Phase response of a signed cascade (sum of section phases).
+
+    ``sections`` is a SECTION_DTYPE record or a sequence of
+    (center_freq_hz, bandwidth_hz, time_sign) rows.
+    """
     _check_n_fft(n_fft)
-    for s in sections:
-        s.validate(fs)
-    if not sections:
-        return CascadeResponse(np.zeros(n_fft // 2 + 1), n_fft, fs)
-    centers = np.array([s.center_freq_hz for s in sections], dtype=float)
-    bandwidths = np.array([s.bandwidth_hz for s in sections], dtype=float)
-    signs = np.array([s.time_sign for s in sections], dtype=float)
-    half = _sections_phase_half(centers, bandwidths, signs, fs, n_fft)
-    return CascadeResponse(half, n_fft, fs)
+    sections = np.asarray(sections, SECTION_DTYPE)
+    centers, bandwidths, signs = (sections[name] for name in SECTION_DTYPE.names)
+    checks = (((0.0 < centers) & (centers < fs / 2.0), f"outside (0, fs/2) for fs={fs}"),
+              (bandwidths > 0.0, "must be > 0"),  # also refuses NaN
+              (np.abs(signs) == 1, "must be +1 or -1"))
+    for name, (ok, rule) in zip(SECTION_DTYPE.names, checks):
+        if not ok.all():
+            raise DesignError(f"{name}={sections[name][np.argmin(ok)]} {rule}")
+    if not len(sections):
+        return CascadeResponse(np.zeros(n_fft // 2 + 1), n_fft)
+    return CascadeResponse(_sections_phase_half(centers, bandwidths, signs, fs, n_fft), n_fft)
 
 
 def impulse_response(resp: CascadeResponse) -> tuple[np.ndarray, int]:
@@ -222,10 +215,10 @@ def impulse_response(resp: CascadeResponse) -> tuple[np.ndarray, int]:
         if abs(spectrum[idx].imag) > 1e-8:
             raise SignalError("phase symmetry violated: complex DC/Nyquist bin")
     h = np.fft.irfft(spectrum, n)
-    # Circular energy centroid via the angular mean of |h|^2.
-    energy = h * h
-    turn = 2.0 * np.pi / n * np.arange(n)
-    angle = np.arctan2(energy @ np.sin(turn), energy @ np.cos(turn))
+    # Circular energy centroid: the angle of sum_n h[n]^2 e^{j 2 pi n / N},
+    # which for a real h is (2 / N) sum_k H[k] conj(H[k + 1]) over the
+    # half spectrum (Parseval with H shifted by one bin).
+    angle = np.angle(np.vdot(spectrum[1:], spectrum[:-1]))
     shift_from = int(np.round(angle / (2.0 * np.pi) * n)) % n
     center_index = n // 2
     h = np.roll(h, center_index - shift_from)

@@ -3,7 +3,8 @@
 Center frequencies are the cumulative sum of random intervals drawn
 from Beta(alpha, beta) and scaled so the mean interval is exactly fd,
 stopping below Nyquist.  Each section gets an equiprobable +1/-1 time
-direction and the common bandwidth ``cmag * fd``.  One section is a
+direction and the common bandwidth ``cmag * fd``; ``draw_sections``
+returns them as one ``allpass.SECTION_DTYPE`` record.  One section is a
 conjugate pole pair, i.e. two cascaded first-order all-pass filters;
 ``first_order_count`` reports the latter.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .allpass import AllPassSection, cascade_phase, impulse_response
+from .allpass import SECTION_DTYPE, cascade_phase, impulse_response
 from .errors import DesignError, TooFewSectionsError, whole_number
 from .fftconv import next_pow2
 
@@ -109,14 +110,15 @@ class UnitCapricep:
     center_index: int
     t_erd_s: float
     design: DesignParams
-    sections: list[AllPassSection] = field(repr=False, default_factory=list)
+    sections: np.recarray = field(
+        repr=False, default_factory=lambda: np.empty(0, SECTION_DTYPE).view(np.recarray))
 
     @property
     def energy(self) -> float:
         return float(np.sum(self.samples * self.samples))
 
 
-def first_order_count(sections: list[AllPassSection]) -> int:
+def first_order_count(sections) -> int:
     """Cascaded first-order filter count: each pole pair realizes two."""
     return 2 * len(sections)
 
@@ -142,8 +144,8 @@ def derive_seed(base_seed: int, index: int) -> np.random.SeedSequence:
 _MAX_DRAW_ROUNDS = 64
 
 
-def draw_sections(params: DesignParams) -> list[AllPassSection]:
-    """Draw the randomized section list for one unit (deterministic per seed)."""
+def draw_sections(params: DesignParams) -> np.recarray:
+    """Draw the randomized section record for one unit (deterministic per seed)."""
     params.validate()
     rng = np.random.default_rng(params.seed)
     nyquist = params.fs / 2.0
@@ -165,12 +167,11 @@ def draw_sections(params: DesignParams) -> list[AllPassSection]:
         raise TooFewSectionsError(
             f"fd={params.fd} too large: only {len(freqs)} sections fit below Nyquist"
         )
-    signs = np.where(rng.random(len(freqs)) < 0.5, 1, -1)
-    bw = params.cmag * params.fd
-    return [
-        AllPassSection(center_freq_hz=float(f), bandwidth_hz=bw, time_sign=int(s))
-        for f, s in zip(freqs, signs)
-    ]
+    sections = np.empty(len(freqs), SECTION_DTYPE)
+    sections["center_freq_hz"] = freqs
+    sections["bandwidth_hz"] = params.cmag * params.fd
+    sections["time_sign"] = np.where(rng.random(len(freqs)) < 0.5, 1, -1)
+    return sections.view(np.recarray)
 
 
 def validate_t_erd(t_erd_s: float) -> None:
@@ -211,7 +212,7 @@ def _render_unit(
         raise DesignError(
             f"unit of {n_keep} samples needs a {n_fft}-point synthesis grid, "
             f"above the {MAX_SYNTHESIS_FFT}-point limit")
-    sections = [s for p in designs for s in draw_sections(p)]
+    sections = np.concatenate([draw_sections(p) for p in designs]).view(np.recarray)
     resp = cascade_phase(sections, fs, n_fft)
     h, center = impulse_response(resp)
     start = center - n_keep // 2
@@ -288,9 +289,6 @@ def design_to_json(unit: UnitCapricep, include_sections: bool = False) -> str:
         "first_order_count": first_order_count(unit.sections),
     }
     if include_sections:
-        doc["sections"] = [
-            {"center_freq_hz": s.center_freq_hz, "bandwidth_hz": s.bandwidth_hz,
-             "time_sign": s.time_sign}
-            for s in unit.sections
-        ]
+        doc["sections"] = [dict(zip(SECTION_DTYPE.names, row))
+                           for row in unit.sections.tolist()]
     return json.dumps(doc, indent=2, sort_keys=True)

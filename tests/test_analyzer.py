@@ -108,6 +108,9 @@ def test_find_alignment_on_clean_comb():
     x[37::n_o] = 1.0
     n_ini = find_alignment(x, n_o)
     assert n_ini == 37 - n_o // 8
+    # compress refuses a recording under 8 n_o first, so decompose cannot get here
+    with pytest.raises(AnalysisError, match="two pulse periods"):
+        find_alignment(x[:2 * n_o - 1], n_o)
 
 
 def test_find_alignment_skips_weak_warmup():
@@ -238,12 +241,17 @@ def test_level_table_averages_each_frame_stack_in_power():
                                    err_msg=key)
 
 
-def test_decompose_without_silence_marks_background_invalid():
+@pytest.mark.parametrize("silence", ["none", "clipped"])
+def test_decompose_without_usable_silence_marks_background_invalid(silence):
     fs = 8000.0
     designs = derive_unit_designs(DesignParams(fs=fs, fd=250.0, seed=13))
     units = [generate_unit(d) for d in designs]
     session = (units, len(units[0].samples), 8 * 5)
-    result = decompose(build_test_signal(*session), None, *session)
+    pre = None
+    if silence == "clipped":
+        pre = np.full(4 * session[1], 1e-3)
+        pre[7] = 1.0  # at full scale: background estimation is skipped
+    result = decompose(build_test_signal(*session), pre, *session)
     assert not result.background_valid
 
 
@@ -288,9 +296,20 @@ def test_decompose_equals_full_length_orthogonalize_then_average(fs, fd, cycles,
             assert np.array_equal(result.levels_db[key], column), key
 
 
-def test_decompose_without_usable_cycle_raises():
+@pytest.mark.parametrize("n_repeats,fault,message", [
+    (16, None, "one clean cycle"),  # warm-up and cool-down only
+    (40, "NaN silence", "silence contains NaN or inf"),
+    (40, "silent recording", "LTI response has no energy"),
+])
+def test_decompose_rejects_a_session_it_cannot_measure(n_repeats, fault, message):
     fs = 8000.0
     units = [generate_unit(d) for d in derive_unit_designs(DesignParams(fs=fs, fd=250.0, seed=13))]
-    session = (units, len(units[0].samples), 16)  # warm-up and cool-down only
-    with pytest.raises(AnalysisError, match="one clean cycle"):
-        decompose(build_test_signal(*session), None, *session)
+    session = (units, len(units[0].samples), n_repeats)
+    recorded = build_test_signal(*session)
+    pre = np.full(4 * session[1], 1e-3)
+    if fault == "NaN silence":
+        pre[7] = np.nan
+    elif fault == "silent recording":
+        recorded[:] = 0.0
+    with pytest.raises(AnalysisError, match=message):
+        decompose(recorded, pre, *session)

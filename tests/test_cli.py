@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, outputs, reproducibility."""
+import csv
 import importlib
 import importlib.util
 import json
@@ -290,16 +291,40 @@ def test_full_pipeline_make_simulate_analyze(tmp_path):
         assert (tmp_path / name).exists()
 
 
-def test_analyze_rejects_sample_rate_mismatch(tmp_path, capsys):
+@pytest.mark.parametrize("wrong_rate", ["recording", "silence"])
+def test_analyze_rejects_sample_rate_mismatch(tmp_path, capsys, wrong_rate):
     assert main(["make-signal", *FAST, "--cycles", "2",
                  "--out-dir", str(tmp_path)]) == 0
     wrong, _ = read_wav(tmp_path / "test_signal.wav")
     write_wav(tmp_path / "wrong.wav", wrong, 44100.0, "float32")
-    rc = main(["analyze", "--recording", str(tmp_path / "wrong.wav"),
+    recording = "wrong.wav" if wrong_rate == "recording" else "test_signal.wav"
+    silence = ["--silence", str(tmp_path / "wrong.wav")] if wrong_rate == "silence" else []
+    rc = main(["analyze", "--recording", str(tmp_path / recording), *silence,
                "--sidecar", str(tmp_path / "test_signal.json"),
                "--out-dir", str(tmp_path)])
     assert rc == 1
-    assert "sample-rate mismatch" in capsys.readouterr().err
+    assert f"sample-rate mismatch: {wrong_rate}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2, 3]"])
+def test_analyze_rejects_a_sidecar_that_is_not_a_json_object(tmp_path, capsys, text):
+    write_wav(tmp_path / "response.wav", np.zeros(800), 8000.0, "float32")
+    (tmp_path / "bad.json").write_text(text)
+    assert _analyze(tmp_path, sidecar="bad.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "malformed sidecar" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_optimize_coarse_search_writes_every_cell_sorted_by_cost(tmp_path):
+    assert main(["optimize", *FAST, "--units", "2", "--coarse-cmags", "1.0,1.19",
+                 "--coarse-alphas", "8", "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "coarse_search.csv", newline="") as f:
+        header, *rows = list(csv.reader(f))
+    assert header == ["cmag", "alpha", "best_t_erd", "cost"]
+    assert sorted((float(r[0]), float(r[1])) for r in rows) == [(1.0, 8.0), (1.19, 8.0)]
+    costs = [float(r[3]) for r in rows]
+    assert all(np.isfinite(costs)) and costs == sorted(costs)
 
 
 def test_augment_outputs(tmp_path):
@@ -386,6 +411,8 @@ def test_augment_rejects_a_negative_seed_or_a_huge_t_erd(tmp_path, capsys, optio
     (["make-signal", *FAST, "--seed", "-1"], "seed"),
     (["design", *FAST, "--alpha", "1e-300"], "alpha or beta too small"),
     (["design", *FAST, "--cmag", "1e-9"], "too narrow"),
+    (["design", *FAST, "--terd-ms", "0.0001"], "shorter than 2 samples"),
+    (["design", *FAST, "--truncation", "0.5"], "truncation loss"),
     (["design", "--fs", "44100", "--fd", "250", "--composite", "--terd-ms", "nan"],
      "t_erd_s"),
     (["optimize", *FAST, "--units", "2", "--grid-step", "0"], "--grid-step"),

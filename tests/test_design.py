@@ -36,7 +36,7 @@ def test_generation_is_deterministic():
     a = generate_unit(p)
     b = generate_unit(p)
     assert np.array_equal(a.samples, b.samples)
-    assert a.sections == b.sections
+    assert np.array_equal(a.sections, b.sections)
 
 
 def test_different_seeds_differ():
@@ -97,6 +97,8 @@ def test_composite_concatenates_both_cascades():
     n_short = len(draw_sections(short_p))
     assert len(u.sections) == n_long + n_short
     assert abs(u.energy - 1.0) < 0.01
+    with pytest.raises(DesignError, match="share fs"):
+        composite_unit(raised_cosine_short_params(44100.0, seed=99), long_p)
 
 
 def test_ensemble_units_are_independent_and_reproducible():
