@@ -1,7 +1,7 @@
 """All-pass building blocks: signed cascades of second-order sections.
 
-A cascade's sections are one numpy record of format SECTION_DTYPE, a
-row (center_freq_hz, bandwidth_hz, time_sign) per section.  A section
+A cascade's sections are one numpy record array of dtype SECTION_DTYPE,
+a row (center_freq_hz, bandwidth_hz, time_sign) per section.  A section
 is a real second-order all-pass realized from the conjugate pole pair
 {z, z*} with
 
@@ -34,6 +34,10 @@ Against an 80-bit evaluation of the per-pole arctan2 formula the
 series' phase erred by at most 4e-14 rad for the 16 kHz, fd 100 design
 and 7e-13 rad for 44.1 kHz, fd 10, where one arctan2 of A per section
 and bin, the kernel it replaces, erred by 3e-13 and 2.5e-10 rad.
+
+impulse_response rotates the rendered response so that its circular
+energy centroid, read from the spectrum it renders, sits at the grid
+center.
 """
 from __future__ import annotations
 
@@ -67,9 +71,11 @@ _TAIL_RAD = 1e-15
 _MAX_TERMS = 2 ** 23
 
 
-# One row per section; time_sign -1 is the time-reversed section.
-SECTION_DTYPE = np.dtype([("center_freq_hz", float), ("bandwidth_hz", float),
-                          ("time_sign", np.int64)])
+# One row per section; time_sign -1 is the time-reversed section.  The
+# np.record type lets each row read its fields as attributes without the
+# cost of a np.recarray view.
+SECTION_DTYPE = np.dtype((np.record, [("center_freq_hz", float), ("bandwidth_hz", float),
+                                      ("time_sign", np.int64)]))
 
 
 @dataclass(frozen=True)
@@ -180,7 +186,7 @@ def _sections_phase_half(
 def cascade_phase(sections, fs: float, n_fft: int) -> CascadeResponse:
     """Phase response of a signed cascade (sum of section phases).
 
-    ``sections`` is a SECTION_DTYPE record or a sequence of
+    ``sections`` is a SECTION_DTYPE array or a sequence of
     (center_freq_hz, bandwidth_hz, time_sign) rows.
     """
     _check_n_fft(n_fft)

@@ -4,9 +4,9 @@ Center frequencies are the cumulative sum of random intervals drawn
 from Beta(alpha, beta) and scaled so the mean interval is exactly fd,
 stopping below Nyquist.  Each section gets an equiprobable +1/-1 time
 direction and the common bandwidth ``cmag * fd``; ``draw_sections``
-returns them as one ``allpass.SECTION_DTYPE`` record.  One section is a
-conjugate pole pair, i.e. two cascaded first-order all-pass filters;
-``first_order_count`` reports the latter.
+returns them as one record array of dtype ``allpass.SECTION_DTYPE``.
+One section is a conjugate pole pair, i.e. two cascaded first-order
+all-pass filters; ``first_order_count`` reports the latter.
 """
 from __future__ import annotations
 
@@ -110,8 +110,7 @@ class UnitCapricep:
     center_index: int
     t_erd_s: float
     design: DesignParams
-    sections: np.recarray = field(
-        repr=False, default_factory=lambda: np.empty(0, SECTION_DTYPE).view(np.recarray))
+    sections: np.ndarray = field(repr=False, default_factory=lambda: np.empty(0, SECTION_DTYPE))
 
     @property
     def energy(self) -> float:
@@ -144,8 +143,8 @@ def derive_seed(base_seed: int, index: int) -> np.random.SeedSequence:
 _MAX_DRAW_ROUNDS = 64
 
 
-def draw_sections(params: DesignParams) -> np.recarray:
-    """Draw the randomized section record for one unit (deterministic per seed)."""
+def draw_sections(params: DesignParams) -> np.ndarray:
+    """Draw the randomized section array for one unit (deterministic per seed)."""
     params.validate()
     rng = np.random.default_rng(params.seed)
     nyquist = params.fs / 2.0
@@ -171,7 +170,7 @@ def draw_sections(params: DesignParams) -> np.recarray:
     sections["center_freq_hz"] = freqs
     sections["bandwidth_hz"] = params.cmag * params.fd
     sections["time_sign"] = np.where(rng.random(len(freqs)) < 0.5, 1, -1)
-    return sections.view(np.recarray)
+    return sections
 
 
 def validate_t_erd(t_erd_s: float) -> None:
@@ -212,7 +211,7 @@ def _render_unit(
         raise DesignError(
             f"unit of {n_keep} samples needs a {n_fft}-point synthesis grid, "
             f"above the {MAX_SYNTHESIS_FFT}-point limit")
-    sections = np.concatenate([draw_sections(p) for p in designs]).view(np.recarray)
+    sections = np.concatenate([draw_sections(p) for p in designs])
     resp = cascade_phase(sections, fs, n_fft)
     h, center = impulse_response(resp)
     start = center - n_keep // 2

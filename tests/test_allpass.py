@@ -16,9 +16,9 @@ FS = 8000.0
 N_FFT = 8192
 
 
-def _record(rows) -> np.recarray:
-    """(center_freq_hz, bandwidth_hz, time_sign) rows as a section record."""
-    return np.asarray(rows, SECTION_DTYPE).view(np.recarray)
+def _record(rows) -> np.ndarray:
+    """(center_freq_hz, bandwidth_hz, time_sign) rows as a section array."""
+    return np.asarray(rows, SECTION_DTYPE)
 
 
 def _iir_frequency_response(row, fs: float, n_fft: int):
