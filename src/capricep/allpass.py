@@ -76,6 +76,9 @@ _MAX_TERMS = 2 ** 23
 # cost of a np.recarray view.
 SECTION_DTYPE = np.dtype((np.record, [("center_freq_hz", float), ("bandwidth_hz", float),
                                       ("time_sign", np.int64)]))
+# The same fields as floats: cascade_phase checks rows in this form, so a
+# fractional time_sign is refused, not cast to an integer first.
+_FLOAT_ROWS = np.dtype([(name, float) for name in SECTION_DTYPE.names])
 
 
 @dataclass(frozen=True)
@@ -190,7 +193,7 @@ def cascade_phase(sections, fs: float, n_fft: int) -> CascadeResponse:
     (center_freq_hz, bandwidth_hz, time_sign) rows.
     """
     _check_n_fft(n_fft)
-    sections = np.asarray(sections, SECTION_DTYPE)
+    sections = np.asarray(sections, _FLOAT_ROWS)
     centers, bandwidths, signs = (sections[name] for name in SECTION_DTYPE.names)
     checks = (((0.0 < centers) & (centers < fs / 2.0), f"outside (0, fs/2) for fs={fs}"),
               (bandwidths > 0.0, "must be > 0"),  # also refuses NaN

@@ -241,7 +241,8 @@ def test_any_section_has_unit_magnitude(f0, bw, sign):
     ((FS, 10.0, 1), "center_freq_hz=8000.0 outside"),
     ((100.0, -1.0, 1), "bandwidth_hz=-1.0 must be > 0"),
     ((100.0, float("nan"), 1), "bandwidth_hz=nan must be > 0"),
-    ((100.0, 10.0, 0), "time_sign=0 must be"),
+    ((100.0, 10.0, 0), "time_sign=0.0 must be"),
+    ((100.0, 10.0, 1.5), "time_sign=1.5 must be"),
 ])
 def test_invalid_sections_rejected(bad, message):
     """A bad row among good ones is refused, and the message names its value."""
