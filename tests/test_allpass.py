@@ -243,7 +243,7 @@ def test_any_section_has_unit_magnitude(f0, bw, sign):
     ((100.0, float("nan"), 1), "bandwidth_hz=nan must be > 0"),
     ((100.0, 10.0, 0), "time_sign=0.0 must be"),
     ((100.0, 10.0, 1.5), "time_sign=1.5 must be"),
-])
+], ids=[f"bad{i}" for i in range(6)])
 def test_invalid_sections_rejected(bad, message):
     """A bad row among good ones is refused, and the message names its value."""
     with pytest.raises(DesignError, match=message):

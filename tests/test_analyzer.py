@@ -241,18 +241,16 @@ def test_level_table_averages_each_frame_stack_in_power():
                                    err_msg=key)
 
 
-@pytest.mark.parametrize("silence", ["none", "clipped"])
-def test_decompose_without_usable_silence_marks_background_invalid(silence):
+def test_decompose_without_silence_marks_background_invalid():
     fs = 8000.0
     designs = derive_unit_designs(DesignParams(fs=fs, fd=250.0, seed=13))
     units = [generate_unit(d) for d in designs]
     session = (units, len(units[0].samples), 8 * 5)
-    pre = None
-    if silence == "clipped":
-        pre = np.full(4 * session[1], 1e-3)
-        pre[7] = 1.0  # at full scale: background estimation is skipped
-    result = decompose(build_test_signal(*session), pre, *session)
-    assert not result.background_valid
+    clipped = np.full(4 * session[1], 1e-3)
+    clipped[7] = 1.0  # at full scale: background estimation is skipped
+    for pre in (None, clipped):
+        result = decompose(build_test_signal(*session), pre, *session)
+        assert not result.background_valid
 
 
 def _decompose_reference(recorded, pre_silence, units, n_o, n_repeats, scale):
@@ -296,20 +294,27 @@ def test_decompose_equals_full_length_orthogonalize_then_average(fs, fd, cycles,
             assert np.array_equal(result.levels_db[key], column), key
 
 
-@pytest.mark.parametrize("n_repeats,fault,message", [
-    (16, None, "one clean cycle"),  # warm-up and cool-down only
-    (40, "NaN silence", "silence contains NaN or inf"),
-    (40, "silent recording", "LTI response has no energy"),
-])
-def test_decompose_rejects_a_session_it_cannot_measure(n_repeats, fault, message):
+def test_decompose_without_usable_cycle_raises():
     fs = 8000.0
     units = [generate_unit(d) for d in derive_unit_designs(DesignParams(fs=fs, fd=250.0, seed=13))]
-    session = (units, len(units[0].samples), n_repeats)
+    session = (units, len(units[0].samples), 16)  # warm-up and cool-down only
+    with pytest.raises(AnalysisError, match="one clean cycle"):
+        decompose(build_test_signal(*session), None, *session)
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("NaN silence", "silence contains NaN or inf"),
+    ("silent recording", "LTI response has no energy"),
+])
+def test_decompose_rejects_nan_silence_or_a_silent_recording(fault, message):
+    fs = 8000.0
+    units = [generate_unit(d) for d in derive_unit_designs(DesignParams(fs=fs, fd=250.0, seed=13))]
+    session = (units, len(units[0].samples), 8 * 5)
     recorded = build_test_signal(*session)
     pre = np.full(4 * session[1], 1e-3)
     if fault == "NaN silence":
         pre[7] = np.nan
-    elif fault == "silent recording":
+    else:
         recorded[:] = 0.0
     with pytest.raises(AnalysisError, match=message):
         decompose(recorded, pre, *session)

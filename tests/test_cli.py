@@ -291,19 +291,20 @@ def test_full_pipeline_make_simulate_analyze(tmp_path):
         assert (tmp_path / name).exists()
 
 
-@pytest.mark.parametrize("wrong_rate", ["recording", "silence"])
-def test_analyze_rejects_sample_rate_mismatch(tmp_path, capsys, wrong_rate):
+def test_analyze_rejects_sample_rate_mismatch(tmp_path, capsys):
     assert main(["make-signal", *FAST, "--cycles", "2",
                  "--out-dir", str(tmp_path)]) == 0
     wrong, _ = read_wav(tmp_path / "test_signal.wav")
     write_wav(tmp_path / "wrong.wav", wrong, 44100.0, "float32")
-    recording = "wrong.wav" if wrong_rate == "recording" else "test_signal.wav"
-    silence = ["--silence", str(tmp_path / "wrong.wav")] if wrong_rate == "silence" else []
-    rc = main(["analyze", "--recording", str(tmp_path / recording), *silence,
-               "--sidecar", str(tmp_path / "test_signal.json"),
-               "--out-dir", str(tmp_path)])
-    assert rc == 1
-    assert f"sample-rate mismatch: {wrong_rate}" in capsys.readouterr().err
+    capsys.readouterr()
+    bad_rate, good_rate = str(tmp_path / "wrong.wav"), str(tmp_path / "test_signal.wav")
+    for files, which in (([bad_rate], "recording"),
+                         ([good_rate, "--silence", bad_rate], "silence")):
+        rc = main(["analyze", "--recording", *files,
+                   "--sidecar", str(tmp_path / "test_signal.json"),
+                   "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert f"sample-rate mismatch: {which}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["{not json", "[1, 2, 3]"])
@@ -411,8 +412,6 @@ def test_augment_rejects_a_negative_seed_or_a_huge_t_erd(tmp_path, capsys, optio
     (["make-signal", *FAST, "--seed", "-1"], "seed"),
     (["design", *FAST, "--alpha", "1e-300"], "alpha or beta too small"),
     (["design", *FAST, "--cmag", "1e-9"], "too narrow"),
-    (["design", *FAST, "--terd-ms", "0.0001"], "shorter than 2 samples"),
-    (["design", *FAST, "--truncation", "0.5"], "truncation loss"),
     (["design", "--fs", "44100", "--fd", "250", "--composite", "--terd-ms", "nan"],
      "t_erd_s"),
     (["optimize", *FAST, "--units", "2", "--grid-step", "0"], "--grid-step"),
@@ -422,6 +421,8 @@ def test_augment_rejects_a_negative_seed_or_a_huge_t_erd(tmp_path, capsys, optio
     (["optimize", *FAST, "--units", "2", "--coarse-cmags", "1.0,abc"], "--coarse-cmags"),
     (["optimize", *FAST, "--units", "2", "--coarse-cmags", "1.0",
       "--coarse-alphas", "8,x"], "--coarse-alphas"),
+    (["design", *FAST, "--terd-ms", "0.0001"], "shorter than 2 samples"),
+    (["design", *FAST, "--truncation", "0.5"], "truncation loss"),
 ])
 def test_non_finite_or_malformed_design_inputs_exit_1(tmp_path, capsys, argv, message):
     rc = main([*argv, "--out-dir", str(tmp_path / "out")])
