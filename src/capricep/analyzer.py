@@ -10,30 +10,36 @@ averaging across complete cycles, then the five-channel split:
   RNTV    level of the fourth (never-played) channel
   pre-BG  background noise measured on the pre-signal silence
 
-Compression is overlap-save convolution (``fftconv.OverlapSave``): the
-recording is cut into frames and transformed once, and each reversed
-unit then costs one short rfft and one batched irfft over the frames.
-The pre-signal silence goes through the same engine with the reversed
-fourth unit, keeping only the samples where the unit overlaps it whole.
-
 Orthogonalization uses the forward-shift (correlation) convention
 r[n] = (1/8) sum_k q[n + k*n_o] * b[k]: the reinforced pulses of every
 channel then share the phase-0 alignment, so the four channels can be
-averaged and compared sample-by-sample.  ``orthogonalize`` returns these
-full-length channels; ``decompose`` reads only one window per usable
-cycle, so it orthogonalizes just those windows, straight from the
-compressed channels, in the same order of float operations.
+averaged and compared sample-by-sample.  ``compress``, ``orthogonalize``
+and ``synchronous_average`` run these steps on full-length signals.
+
+``decompose`` runs them in another order.  The comb sum and the cycle
+average are linear and shift-invariant, so they commute with correlation
+by a unit.  Only unit 0 is correlated with the whole recording
+(overlap-save, ``fftconv.OverlapSave``), because the alignment search
+reads its comb profile.  Every usable cycle is then eight slots of
+n_o + L - 1 recording samples, L the unit length.  Channels 0-2 average
+the slots over the cycles, weight them by their B4 row, and correlate
+the one folded window with their unit.  Channel 3 keeps its power per
+cycle, so each cycle's folded window is correlated, all in one batched
+FFT.  The channels agree with the full-length steps to rounding.  The
+pre-signal silence goes through overlap-save with the reversed fourth
+unit, keeping only the samples where the unit overlaps it whole.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import bands
 from .design import UnitCapricep
 from .errors import AnalysisError
-from .fftconv import OverlapSave, next_pow2
+from .fftconv import OverlapSave, next_fast_len, next_pow2
 from .sequences import B4, check_session
 
 # Pre-roll (fraction of n_o) between window start and the pulse peak so
@@ -127,18 +133,10 @@ def orthogonalize(
             raise AnalysisError("compressed signal shorter than one 8-cycle")
         valid = n - 7 * n_o
         r = np.zeros(n)
-        r[:valid] = _comb_sum([qm[k * n_o:k * n_o + valid] for k in range(8)], rows[m])
+        for k, b in enumerate(rows[m]):
+            r[:valid] += b * qm[k * n_o:k * n_o + valid]
+        r /= 8.0
         out.append(r)
-    return out
-
-
-def _comb_sum(shifted, row: np.ndarray) -> np.ndarray:
-    """(1/8) sum_k row[k] * shifted[k], added in k order onto zeros, for
-    the eight comb-shifted views ``shifted`` of one compressed channel."""
-    out = np.zeros(shifted[0].shape)
-    for b, x in zip(row, shifted):
-        out += b * x
-    out /= 8.0
     return out
 
 
@@ -192,19 +190,25 @@ def decompose(
     if not np.isfinite(recorded).all():
         raise AnalysisError("recording contains NaN or inf samples")
     recorded = recorded / scale
-    comp = compress(recorded, units, n_o)
+    comp = compress(recorded, units[:1], n_o)
     n_ini = comp.alignment
     omega = usable_omega(n_o, n_repeats, n_ini, len(comp.q[0]))
     if not omega:
         raise AnalysisError("recording too short for one clean cycle")
+    del comp
 
-    # w[m, c] is channel m orthogonalized over usable cycle c's window:
-    # the B4-weighted sum of that cycle's eight slots, read as views of
-    # q_m (usable_omega keeps the span inside q_m).
-    span = slice(n_ini + 8 * n_o * omega[0], n_ini + 8 * n_o * (omega[-1] + 1))
-    w = np.stack([_comb_sum(qm[span].reshape(len(omega), 8, n_o).swapaxes(0, 1), row)
-                  for qm, row in zip(comp.q, B4)])
-    r_m = [w[m].mean(axis=0) for m in range(3)]
+    # Fold the slots first, then correlate (see the module docstring).
+    # The first n_o lags of a circular correlation over n_fft >= n_o + L - 1
+    # points wrap no sample of a folded window.
+    n_unit = len(units[0].samples)
+    slots = _cycle_slots(recorded, n_unit, n_ini, n_o, omega)
+    n_fft = next_fast_len(n_o + n_unit - 1)
+    spectra = np.fft.rfft([u.samples for u in units], n_fft).conj()
+
+    def correlate(fold, spectrum):
+        return np.fft.irfft(np.fft.rfft(fold, n_fft) * spectrum, n_fft)[..., :n_o]
+
+    r_m = correlate(B4[:3] @ slots.mean(axis=0) / 8.0, spectra[:3])
     lti_raw = (r_m[0] + r_m[1] + r_m[2]) / 3.0
 
     # The eight polarity-combination segments weight nonlinear products
@@ -218,7 +222,7 @@ def decompose(
     # Fourth channel: never part of the test signal, so it carries noise
     # and time variation only.  Power is kept per cycle (no waveform
     # averaging) and compensated for the orthogonalization gain.
-    w4 = w[3]
+    w4 = correlate(np.einsum("s,csw->cw", B4[3] / 8.0, slots), spectra[3])
     random_tv = np.sqrt((w4 ** 2).mean(axis=0)) * _NOISE_GAIN_COMP
 
     background = _background_frames(pre_silence, units[3].samples, n_o, scale)
@@ -231,6 +235,26 @@ def decompose(
         omega_size=len(omega),
         background_valid=background is not None,
     )
+
+
+def _cycle_slots(
+    recorded: np.ndarray,
+    n_unit: int,
+    n_ini: int,
+    n_o: int,
+    omega: list[int],
+) -> np.ndarray:
+    """The eight slots of every usable cycle, as one (len(omega), 8,
+    n_o + n_unit - 1) view.  Slot s of cycle k holds the samples that
+    correlate into the cycle window q[n_ini + (8k + s) n_o:][:n_o] of a
+    full compression: the recording padded with n_unit - 1 leading zeros
+    and zeros past its end.  usable_omega keeps the cycles consecutive."""
+    width = n_o + n_unit - 1
+    start = n_ini + 8 * n_o * omega[0] - (n_unit - 1)
+    span = np.zeros(8 * n_o * len(omega) + n_unit - 1)
+    lo, hi = max(start, 0), min(start + len(span), len(recorded))
+    span[lo - start:hi - start] = recorded[lo:hi]
+    return sliding_window_view(span, width)[::n_o].reshape(len(omega), 8, width)
 
 
 def _background_frames(

@@ -1,4 +1,6 @@
 """Pulse compression, orthogonalization and the channel decomposition."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.signal import fftconvolve
@@ -268,30 +270,99 @@ def _decompose_reference(recorded, pre_silence, units, n_o, n_repeats, scale):
     background = _background_frames(pre_silence, units[3].samples, n_o, scale)
     levels = _level_table(units[0].fs, n_o, lti_raw, dev_stack, w4, background)
     return (lti_raw, np.sqrt((dev_stack ** 2).mean(axis=0)),
-            np.sqrt((w4 ** 2).mean(axis=0)) * np.sqrt(8.0), levels, len(omega))
+            np.sqrt((w4 ** 2).mean(axis=0)) * np.sqrt(8.0), levels,
+            n_ini, len(omega), background is not None)
 
 
-@pytest.mark.parametrize("fs,fd,cycles,seed", [(8000.0, 250.0, 4, 21), (16000.0, 100.0, 3, 22)])
-def test_decompose_equals_full_length_orthogonalize_then_average(fs, fd, cycles, seed):
+def _assert_decompose_matches_reference(recorded, pre_silence, session, scale):
+    """decompose folds each cycle before it correlates, so it adds in
+    another order than the reference: the alignment, the cycle count and
+    the background flag agree exactly, the channels to 1e-12 of the LTI
+    peak and every level to 1e-9 dB."""
+    result = decompose(recorded, pre_silence, *session, scale=scale)
+    lti_raw, nonl, rntv, levels, n_ini, n_cycles, background_valid = _decompose_reference(
+        recorded, pre_silence, *session, scale)
+    assert (result.n_ini, result.omega_size, result.background_valid) == (
+        n_ini, n_cycles, background_valid)
+    bound = 1e-12 * np.max(np.abs(lti_raw))
+    for name, got, want in (("lti_raw", result.lti_raw, lti_raw),
+                            ("nonlinear_ti", result.nonlinear_ti, nonl),
+                            ("random_tv", result.random_tv, rntv)):
+        assert got.shape == want.shape, name
+        assert np.max(np.abs(got - want)) <= bound, name
+    assert result.levels_db.keys() == levels.keys()
+    for key, column in levels.items():
+        np.testing.assert_allclose(result.levels_db[key], column, rtol=0, atol=1e-9,
+                                   err_msg=key)
+    return result
+
+
+def _simulated_session(fs, fd, cycles, seed, n_o=None):
     units = [generate_unit(d) for d in derive_unit_designs(DesignParams(fs=fs, fd=fd, seed=seed))]
-    session = (units, len(units[0].samples), default_n_repeats(cycles))
+    session = (units, n_o or len(units[0].samples), default_n_repeats(cycles))
     scale = 0.4
     system = VirtualSystem(lti_ir=(1.0, 0.0, -0.3, 0.1), nl_coeffs=(1.0, 0.0, 0.05),
                            noise_level_db=-60.0, drift=(2.0, 0.1),
                            latency_samples=123, noise_seed=seed)
     rec, pre = run(system, build_test_signal(*session) * scale, fs, pre_silence_s=0.5)
+    return session, scale, rec, pre
+
+
+@pytest.mark.parametrize("fs,fd,cycles,seed", [(8000.0, 250.0, 4, 21), (16000.0, 100.0, 3, 22)])
+def test_decompose_equals_full_length_orthogonalize_then_average(fs, fd, cycles, seed):
+    session, scale, rec, pre = _simulated_session(fs, fd, cycles, seed)
     for silence in (pre, None):
-        result = decompose(rec, silence, *session, scale=scale)
-        lti_raw, nonl, rntv, levels, n_cycles = _decompose_reference(
-            rec, silence, *session, scale)
-        assert result.omega_size == n_cycles >= 3
+        result = _assert_decompose_matches_reference(rec, silence, session, scale)
+        assert result.omega_size >= 3
         assert result.background_valid == (silence is not None)
-        assert np.array_equal(result.lti_raw, lti_raw)
-        assert np.array_equal(result.nonlinear_ti, nonl)
-        assert np.array_equal(result.random_tv, rntv)
-        assert result.levels_db.keys() == levels.keys()
-        for key, column in levels.items():
-            assert np.array_equal(result.levels_db[key], column), key
+
+
+@pytest.mark.parametrize("layout", ["third", "double", "eighth_plus_one"])
+def test_decompose_fold_matches_the_reference_when_n_o_is_not_the_unit_length(layout):
+    length = 222  # the unit length at 8 kHz / fd 250 Hz
+    n_o = {"third": length // 3, "double": 2 * length, "eighth_plus_one": length // 8 + 1}[layout]
+    session, scale, rec, pre = _simulated_session(8000.0, 250.0, 3, 23, n_o=n_o)
+    assert len(session[0][0].samples) == length
+    result = _assert_decompose_matches_reference(rec, pre, session, scale)
+    assert result.omega_size == 3
+
+
+def test_decompose_fold_pads_slots_past_both_ends_of_the_recording():
+    """Slots that reach before the recording or past its end read the
+    zeros a full compression pads it with.  On this noise recording at the
+    densest layout check_session allows, the first usable slot starts 11
+    samples before the recording and the last ends 44 samples past it."""
+    units = [generate_unit(d) for d in
+             derive_unit_designs(DesignParams(fs=8000.0, fd=250.0, seed=21))]
+    length = len(units[0].samples)
+    n_o, n_repeats = -(-length // 16), 8 * 40
+    rec = np.random.default_rng(2182).standard_normal(2182)
+    n_ini = compress(rec, units[:1], n_o).alignment
+    omega = usable_omega(n_o, n_repeats, n_ini, len(rec) + length - 1)
+    assert n_ini + 8 * n_o * omega[0] < length - 1
+    assert n_ini + 8 * n_o * (omega[-1] + 1) > len(rec)
+    _assert_decompose_matches_reference(rec, None, (units, n_o, n_repeats), 1.0)
+
+
+def test_decompose_traced_peak_stays_a_few_recordings():
+    """decompose compresses the recording with unit 0 alone and folds the
+    rest per cycle, so its traced allocation peak on this 20-cycle session
+    (39,351 samples) is about 4.4 times the recording's float64 bytes; the
+    four full-length compressions it replaced took about 7.7 times."""
+    fs = 8000.0
+    units = [generate_unit(d) for d in derive_unit_designs(DesignParams(fs=fs, fd=250.0, seed=3))]
+    session = (units, len(units[0].samples), default_n_repeats(20))
+    system = VirtualSystem(lti_ir=(1.0, 0.2), noise_level_db=-50.0, latency_samples=57,
+                           noise_seed=3)
+    rec, pre = run(system, build_test_signal(*session), fs, pre_silence_s=0.5)
+    decompose(rec, pre, *session)  # first-call allocations are not the function's
+    tracemalloc.start()
+    try:
+        decompose(rec, pre, *session)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.0 * rec.nbytes
 
 
 def test_decompose_without_usable_cycle_raises():
