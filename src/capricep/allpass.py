@@ -81,7 +81,7 @@ SECTION_DTYPE = np.dtype((np.record, [("center_freq_hz", float), ("bandwidth_hz"
 _FLOAT_ROWS = np.dtype([(name, float) for name in SECTION_DTYPE.names])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CascadeResponse:
     """Phase of an all-pass cascade on a dense FFT grid.
 

@@ -52,13 +52,13 @@ _PREROLL_FRACTION = 8
 _NOISE_GAIN_COMP = np.sqrt(8.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompressedSignals:
     q: list[np.ndarray]
     alignment: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecompositionResult:
     lti_raw: np.ndarray
     nonlinear_ti: np.ndarray

@@ -51,7 +51,7 @@ DEFAULT_T_ERD_S = 0.002
 HISTOGRAM_BINS = 101
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AugmentReport:
     snr_db: np.ndarray
     value_histograms: np.ndarray  # (n_variants + 1, bins); row 0 = original

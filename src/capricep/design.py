@@ -101,7 +101,7 @@ def raised_cosine_short_params(fs: float, seed: int) -> DesignParams:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitCapricep:
     """Sampled unit pulse with alignment metadata."""
 

@@ -17,14 +17,14 @@ from .errors import DesignError, SignalError
 from .fftconv import next_pow2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShapeTarget:
     kind: str  # "rectangular" | "raised_cosine"
     duration_s: float
     profile: np.ndarray  # nonnegative, sums to 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleVariance:
     variance: np.ndarray
     ensemble_size: int

@@ -14,7 +14,7 @@ from .fftconv import OverlapSave
 MAX_PAD_SAMPLES = 2 ** 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VirtualSystem:
     """LTI filter + memoryless polynomial nonlinearity + noise + drift.
 

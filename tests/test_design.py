@@ -23,7 +23,11 @@ from capricep.design import (
     generate_unit,
     raised_cosine_short_params,
 )
+from capricep.allpass import CascadeResponse
+from capricep.analyzer import CompressedSignals, DecompositionResult
 from capricep.errors import DesignError
+from capricep.shaping import EnsembleVariance, ShapeTarget
+from capricep.simulator import VirtualSystem
 
 
 def test_nominal_duration_scales_inversely_with_density():
@@ -212,3 +216,28 @@ def test_beta_draws_that_underflow_to_zero_end_in_a_design_error():
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "alpha or beta too small" in proc.stdout
+
+
+# One factory per frozen dataclass that holds an ndarray.
+_ARRAY_RECORDS = {
+    "UnitCapricep": lambda: generate_unit(DesignParams(fs=8000.0, fd=250.0, seed=5)),
+    "CascadeResponse": lambda: CascadeResponse(phase_half=np.zeros(3), fft_length=4),
+    "CompressedSignals": lambda: CompressedSignals(q=[np.zeros(3)], alignment=0),
+    "DecompositionResult": lambda: DecompositionResult(
+        np.zeros(3), np.zeros(3), np.zeros(3), {"freq_hz": np.zeros(2)}, 0, 1, False),
+    "VirtualSystem": lambda: VirtualSystem(lti_ir=np.array([1.0, 0.5])),
+    "ShapeTarget": lambda: ShapeTarget("rectangular", 0.002, np.full(4, 0.25)),
+    "EnsembleVariance": lambda: EnsembleVariance(np.ones(4), 8, 8000.0, 2),
+    "AugmentReport": lambda: capricep.AugmentReport(*(np.zeros(3) for _ in range(5))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_RECORDS))
+def test_array_records_compare_by_identity_without_raising(name):
+    """A generated __eq__ would compare the arrays inside a tuple and
+    raise numpy's ambiguous-truth-value error."""
+    a, b = _ARRAY_RECORDS[name](), _ARRAY_RECORDS[name]()
+    assert a == a
+    assert not a == b
+    assert a != b
+    assert len({a, b}) == 2
