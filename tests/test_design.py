@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import capricep
+from capricep.allpass import CascadeResponse
+from capricep.analyzer import CompressedSignals, DecompositionResult
 from capricep.design import (
     MAX_SYNTHESIS_FFT,
     DesignParams,
@@ -23,8 +25,6 @@ from capricep.design import (
     generate_unit,
     raised_cosine_short_params,
 )
-from capricep.allpass import CascadeResponse
-from capricep.analyzer import CompressedSignals, DecompositionResult
 from capricep.errors import DesignError
 from capricep.shaping import EnsembleVariance, ShapeTarget
 from capricep.simulator import VirtualSystem
