@@ -87,11 +87,11 @@ class CascadeResponse:
 
     Only the phase is stored; the magnitude is identically 1.  The
     phase is kept on the non-negative-frequency half grid (bins 0 to
-    n_fft/2 inclusive), which pins conjugate symmetry exactly.
+    n_fft/2 inclusive), which pins conjugate symmetry exactly and fixes
+    n_fft = 2 (len(phase_half) - 1).
     """
 
     phase_half: np.ndarray
-    fft_length: int
 
 
 def _pole_powers(f_hi: np.ndarray, f_lo: np.ndarray, log_r: np.ndarray, fs: float,
@@ -202,18 +202,19 @@ def cascade_phase(sections, fs: float, n_fft: int) -> CascadeResponse:
         if not ok.all():
             raise DesignError(f"{name}={sections[name][np.argmin(ok)]} {rule}")
     if not len(sections):
-        return CascadeResponse(np.zeros(n_fft // 2 + 1), n_fft)
-    return CascadeResponse(_sections_phase_half(centers, bandwidths, signs, fs, n_fft), n_fft)
+        return CascadeResponse(np.zeros(n_fft // 2 + 1))
+    return CascadeResponse(_sections_phase_half(centers, bandwidths, signs, fs, n_fft))
 
 
 def impulse_response(resp: CascadeResponse) -> tuple[np.ndarray, int]:
     """Real impulse response of a cascade, rotated to the grid center.
 
-    Returns (samples, center_index) where center_index = fft_length // 2.
+    Returns (samples, center_index) where center_index = n_fft // 2.
     The rotation puts the circular energy centroid at the center so the
     two-sided exponential tails do not wrap through the array edges.
     """
-    n = resp.fft_length
+    n = 2 * (len(resp.phase_half) - 1)
+    _check_n_fft(n)
     # exp(j phase) from real cos and sin: numpy's complex exp is slower,
     # and both gave bit-identical responses on the grids tried.
     spectrum = np.empty(len(resp.phase_half), dtype=complex)

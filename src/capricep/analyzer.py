@@ -26,8 +26,9 @@ the slots over the cycles, weight them by their B4 row, and correlate
 the one folded window with their unit.  Channel 3 keeps its power per
 cycle, so each cycle's folded window is correlated, all in one batched
 FFT.  The channels agree with the full-length steps to rounding.  The
-pre-signal silence goes through overlap-save with the reversed fourth
-unit, keeping only the samples where the unit overlaps it whole.
+pre-signal silence is cut into windows of n_o + L - 1 samples at hop
+n_o and correlated with the fourth unit the same way, so each gives the
+n_o background lags where the unit overlaps the silence whole.
 """
 from __future__ import annotations
 
@@ -97,16 +98,17 @@ def find_alignment(q1: np.ndarray, n_o: int) -> int:
     n_combs = len(q1) // n_o
     if n_combs < 2:
         raise AnalysisError("recording shorter than two pulse periods")
-    e = q1[: n_combs * n_o] ** 2
+    # q1 squared between w zeros on each side, so every comb's pulse
+    # window [pos - w, pos + w) is one 2w-sample slice of the buffer.
+    w = max(1, n_o // _PREROLL_FRACTION)
+    padded = np.zeros(n_combs * n_o + 2 * w)
+    e = np.square(q1[: n_combs * n_o], out=padded[w:-w])
     if not np.any(e > 0.0):
         return 0
     profile = e.reshape(n_combs, n_o).sum(axis=0)
     peak_offset = int(np.argmax(profile))
-    w = max(1, n_o // _PREROLL_FRACTION)
-    pulse_energy = np.empty(n_combs)
-    for j in range(n_combs):
-        pos = peak_offset + j * n_o
-        pulse_energy[j] = e[max(0, pos - w):pos + w].sum()
+    windows = sliding_window_view(padded, 2 * w)[peak_offset::n_o][:n_combs]
+    pulse_energy = windows.sum(axis=1)
     steady = np.median(pulse_energy[pulse_energy > 0.1 * pulse_energy.max()])
     first = int(np.argmax(pulse_energy >= 0.5 * steady))
     n_ini = peak_offset + first * n_o - n_o // _PREROLL_FRACTION
@@ -225,7 +227,8 @@ def decompose(
     w4 = correlate(np.einsum("s,csw->cw", B4[3] / 8.0, slots), spectra[3])
     random_tv = np.sqrt((w4 ** 2).mean(axis=0)) * _NOISE_GAIN_COMP
 
-    background = _background_frames(pre_silence, units[3].samples, n_o, scale)
+    windows = _silence_windows(pre_silence, n_unit, n_o, scale)
+    background = None if windows is None else correlate(windows, spectra[3])
     return DecompositionResult(
         lti_raw=lti_raw,
         nonlinear_ti=nonlinear_ti,
@@ -257,17 +260,19 @@ def _cycle_slots(
     return sliding_window_view(span, width)[::n_o].reshape(len(omega), 8, width)
 
 
-def _background_frames(
+def _silence_windows(
     pre_silence: np.ndarray | None,
-    u4: np.ndarray,
+    n_unit: int,
     n_o: int,
     scale: float,
 ) -> np.ndarray | None:
-    """Silence segment through the channel-4 compression path, cut into
-    length-n_o frames, or None when there is no usable silence.  Uses
-    compression only (the segment is shorter than an 8-cycle), so frames
-    carry the same unit gain for noise as the compensated channel-4
-    windows."""
+    """The pre-signal silence as windows of n_o + n_unit - 1 samples at hop
+    n_o, or None when there is no usable silence.  Correlated with the
+    fourth unit, window f gives the background frame of lags f n_o to
+    (f + 1) n_o - 1 where the unit overlaps the silence whole.  Only
+    compression is applied (the segment is shorter than an 8-cycle), so
+    frames carry the same unit gain for noise as the compensated
+    channel-4 windows."""
     if pre_silence is None or len(pre_silence) < 2 * n_o:
         return None
     silence = np.asarray(pre_silence, dtype=float)
@@ -275,12 +280,10 @@ def _background_frames(
         raise AnalysisError("pre-signal silence contains NaN or inf samples")
     if np.max(np.abs(silence)) >= 0.999 * max(1.0, scale):
         return None
-    silence = silence / scale
-    qbg = OverlapSave(silence, len(u4)).convolve(u4[::-1])[len(u4) - 1:len(silence)]
-    n_frames = len(qbg) // n_o
-    if n_frames < 1:
+    width = n_o + n_unit - 1
+    if len(silence) < width:
         return None
-    return qbg[: n_frames * n_o].reshape(n_frames, n_o)
+    return sliding_window_view(silence / scale, width)[::n_o]
 
 
 def _level_table(

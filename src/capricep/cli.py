@@ -190,8 +190,7 @@ def cmd_analyze(args) -> int:
     write_wav(args.out_dir / "nonl_ti.wav", result.nonlinear_ti, fs, "float32")
     write_wav(args.out_dir / "rntv.wav", result.random_tv, fs, "float32")
     out = args.out_dir / "levels.csv"
-    cols = ["freq_hz", "lti_l_db", "lti_s_db", "nonl_ti_db",
-            "rntv_db", "pre_bg_db", "rntv_raw_db"]
+    cols = list(result.levels_db)
     with open(out, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(cols)
@@ -328,10 +327,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except CapricepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CapricepError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

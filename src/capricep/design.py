@@ -107,10 +107,13 @@ class UnitCapricep:
 
     samples: np.ndarray
     fs: float
-    center_index: int
     t_erd_s: float
     design: DesignParams
     sections: np.ndarray = field(repr=False, default_factory=lambda: np.empty(0, SECTION_DTYPE))
+
+    @property
+    def center_index(self) -> int:
+        return len(self.samples) // 2
 
     @property
     def energy(self) -> float:
@@ -186,17 +189,36 @@ def validate_t_erd(t_erd_s: float) -> None:
 MAX_SYNTHESIS_FFT = 2 ** 20
 
 
-def _render_unit(
-    designs: list[DesignParams],
-    params: DesignParams,
-    t_erd_s: float,
+def generate_unit(params: DesignParams, t_erd_s: float | None = None) -> UnitCapricep:
+    """Generate one unit pulse, truncated to truncation_factor * t_erd."""
+    return composite_unit(None, params, t_erd_s)
+
+
+def composite_unit(
+    short_params: DesignParams | None,
+    long_params: DesignParams,
+    t_erd_s: float | None = None,
 ) -> UnitCapricep:
-    """Render the cascade of the sections drawn from each of ``designs``,
-    in order, at the rate and truncation of ``params``.  The grid size is
-    checked before any section is drawn or any array allocated."""
+    """One unit from the concatenated short + long section lists, at the
+    rate and truncation of ``long_params``.
+
+    The short companion spreads the coherent center spike of the long
+    design; an absent short design reduces to the plain long unit.  The
+    grid size is checked before any section is drawn or any array
+    allocated.
+    """
+    long_params.validate()
+    if t_erd_s is None:
+        t_erd_s = long_params.nominal_t_erd()
+    designs = [long_params]
+    if short_params is not None:
+        short_params.validate()
+        if short_params.fs != long_params.fs:
+            raise DesignError("short and long designs must share fs")
+        designs.insert(0, short_params)
     validate_t_erd(t_erd_s)
-    fs = params.fs
-    n_keep = params.truncation_factor * t_erd_s * fs
+    fs = long_params.fs
+    n_keep = long_params.truncation_factor * t_erd_s * fs
     if not n_keep <= MAX_SYNTHESIS_FFT:  # also trips on inf
         raise DesignError(
             f"unit of {n_keep:g} samples needs a synthesis grid above the "
@@ -212,51 +234,14 @@ def _render_unit(
             f"unit of {n_keep} samples needs a {n_fft}-point synthesis grid, "
             f"above the {MAX_SYNTHESIS_FFT}-point limit")
     sections = np.concatenate([draw_sections(p) for p in designs])
-    resp = cascade_phase(sections, fs, n_fft)
-    h, center = impulse_response(resp)
+    h, center = impulse_response(cascade_phase(sections, fs, n_fft))
     start = center - n_keep // 2
     kept = h[start:start + n_keep]
     loss = 1.0 - float(np.sum(kept * kept))
     if loss > 0.01:
         raise DesignError(f"truncation loss {loss:.2%} exceeds 1% of unit energy")
-    return UnitCapricep(
-        samples=kept.copy(),
-        fs=fs,
-        center_index=n_keep // 2,
-        t_erd_s=t_erd_s,
-        design=params,
-        sections=sections,
-    )
-
-
-def generate_unit(params: DesignParams, t_erd_s: float | None = None) -> UnitCapricep:
-    """Generate one unit pulse, truncated to truncation_factor * t_erd."""
-    params.validate()
-    if t_erd_s is None:
-        t_erd_s = params.nominal_t_erd()
-    return _render_unit([params], params, t_erd_s)
-
-
-def composite_unit(
-    short_params: DesignParams | None,
-    long_params: DesignParams,
-    t_erd_s: float | None = None,
-) -> UnitCapricep:
-    """One unit from the concatenated short + long section lists.
-
-    The short companion spreads the coherent center spike of the long
-    design; an absent short design reduces to the plain long unit.
-    """
-    long_params.validate()
-    if t_erd_s is None:
-        t_erd_s = long_params.nominal_t_erd()
-    designs = []
-    if short_params is not None:
-        short_params.validate()
-        if short_params.fs != long_params.fs:
-            raise DesignError("short and long designs must share fs")
-        designs.append(short_params)
-    return _render_unit(designs + [long_params], long_params, t_erd_s)
+    return UnitCapricep(samples=kept.copy(), fs=fs, t_erd_s=t_erd_s, design=long_params,
+                        sections=sections)
 
 
 def derive_unit_designs(base: DesignParams, count: int = 4) -> list[DesignParams]:

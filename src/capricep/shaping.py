@@ -8,7 +8,7 @@ cumulative sums scaled by the sample period.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -17,59 +17,39 @@ from .errors import DesignError, SignalError
 from .fftconv import next_pow2
 
 
-@dataclass(frozen=True, eq=False)
-class ShapeTarget:
-    kind: str  # "rectangular" | "raised_cosine"
-    duration_s: float
-    profile: np.ndarray  # nonnegative, sums to 1
-
-
-@dataclass(frozen=True, eq=False)
-class EnsembleVariance:
-    variance: np.ndarray
-    ensemble_size: int
-    fs: float
-    center_index: int
-
-
-def rectangular_target(duration_s: float, fs: float, length: int, center: int) -> ShapeTarget:
-    width = max(1, int(round(duration_s * fs)))
+def _centered(lobe: np.ndarray, length: int, center: int, kind: str) -> np.ndarray:
+    """``lobe`` scaled to unit mass on a zero grid of ``length`` samples,
+    its middle sample at ``center``."""
     profile = np.zeros(length)
-    start = center - width // 2
-    if start < 0 or start + width > length:
-        raise SignalError("rectangular target does not fit the profile grid")
-    profile[start:start + width] = 1.0 / width
-    return ShapeTarget("rectangular", duration_s, profile)
+    start = center - len(lobe) // 2
+    if start < 0 or start + len(lobe) > length:
+        raise SignalError(f"{kind} target does not fit the profile grid")
+    profile[start:start + len(lobe)] = lobe / lobe.sum()
+    return profile
 
 
-def raised_cosine_target(duration_s: float, fs: float, length: int, center: int) -> ShapeTarget:
+def rectangular_target(duration_s: float, fs: float, length: int, center: int) -> np.ndarray:
+    width = max(1, int(round(duration_s * fs)))
+    return _centered(np.ones(width), length, center, "rectangular")
+
+
+def raised_cosine_target(duration_s: float, fs: float, length: int, center: int) -> np.ndarray:
     width = max(3, int(round(duration_s * fs)))
     n = np.arange(width) - (width - 1) / 2.0
-    lobe = 1.0 + np.cos(2.0 * np.pi * n / width)
-    profile = np.zeros(length)
-    start = center - width // 2
-    if start < 0 or start + width > length:
-        raise SignalError("raised-cosine target does not fit the profile grid")
-    profile[start:start + width] = lobe / lobe.sum()
-    return ShapeTarget("raised_cosine", duration_s, profile)
+    return _centered(1.0 + np.cos(2.0 * np.pi * n / width), length, center, "raised-cosine")
 
 
 def ensemble_variance(
     params: DesignParams,
     t_erd_s: float,
     n_units: int,
-) -> EnsembleVariance:
-    """Unbiased per-sample variance over n_units independently seeded units."""
+) -> np.ndarray:
+    """Unbiased per-sample variance over n_units independently seeded
+    units, centered like them at index len // 2."""
     if n_units < 2:
         raise DesignError("n_units must be at least 2")
     units = generate_ensemble(params, t_erd_s, n_units)
-    stack = np.stack([u.samples for u in units])
-    return EnsembleVariance(
-        variance=stack.var(axis=0, ddof=1),
-        ensemble_size=n_units,
-        fs=params.fs,
-        center_index=units[0].center_index,
-    )
+    return np.stack([u.samples for u in units]).var(axis=0, ddof=1)
 
 
 def pairwise_max_xcorr(units: list[UnitCapricep]) -> np.ndarray:
@@ -89,13 +69,9 @@ def pairwise_max_xcorr(units: list[UnitCapricep]) -> np.ndarray:
     return np.array(maxima)
 
 
-def wasserstein_distance(v: EnsembleVariance, target: ShapeTarget) -> float:
-    """W1 between unit-mass-normalized variance and target, in seconds."""
-    return w1_grid(v.variance, target.profile, v.fs)
-
-
-def w1_grid(mass_a: np.ndarray, mass_b: np.ndarray, fs: float) -> float:
-    """Wasserstein-1 between two nonnegative masses on a shared uniform grid."""
+def wasserstein_distance(mass_a: np.ndarray, mass_b: np.ndarray, fs: float) -> float:
+    """W1 in seconds between two nonnegative masses on a shared uniform
+    grid of rate fs, each normalized to unit mass."""
     if len(mass_a) != len(mass_b):
         raise SignalError("masses must share a grid")
     ta, tb = float(np.sum(mass_a)), float(np.sum(mass_b))
@@ -120,8 +96,7 @@ def optimize_terd(
     grid = sorted(float(g) for g in grid)
     v = ensemble_variance(params, max(grid), n_units)
     distances = np.array([
-        wasserstein_distance(
-            v, rectangular_target(g, v.fs, len(v.variance), v.center_index))
+        wasserstein_distance(v, rectangular_target(g, params.fs, len(v), len(v) // 2), params.fs)
         for g in grid
     ])
     return grid[int(np.argmin(distances))], distances

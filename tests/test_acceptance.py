@@ -118,8 +118,8 @@ def test_criterion_06_orthogonality_exact():
     d = DesignParams(fs=1000.0, fd=125.0, seed=0)
     delta = np.zeros(1)
     delta[0] = 1.0
-    units = [UnitCapricep(samples=delta.copy(), fs=1000.0, center_index=0,
-                          t_erd_s=0.001, design=d, sections=[]) for _ in range(4)]
+    units = [UnitCapricep(samples=delta.copy(), fs=1000.0, t_erd_s=0.001, design=d,
+                          sections=[]) for _ in range(4)]
     n_o = 16
     rec = build_sequence(units[0], B4[0], n_o, 32)
     r = orthogonalize(compress(rec, units, n_o=n_o), B4, n_o)

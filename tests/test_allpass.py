@@ -256,7 +256,16 @@ def test_complex_dc_or_nyquist_bin_rejected(index):
     phase = np.zeros(129)
     phase[index] = 0.5
     with pytest.raises(SignalError, match="DC/Nyquist"):
-        impulse_response(CascadeResponse(phase, 256))
+        impulse_response(CascadeResponse(phase))
+
+
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_a_half_grid_of_no_power_of_two_length_is_refused(k):
+    """The grid length is read from the half grid, 2 (k - 1) points, so a
+    half grid no power-of-two grid has cannot render a response that is
+    not all-pass."""
+    with pytest.raises(SignalError, match="not a power of two"):
+        impulse_response(CascadeResponse(np.zeros(k)))
 
 
 def _time_domain_centroid(h: np.ndarray) -> float:

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
+from capricep import analyzer
 from capricep.analyzer import (
-    _background_frames,
+    CompressedSignals,
     _level_table,
+    _silence_windows,
     compress,
     decompose,
     find_alignment,
@@ -32,8 +34,8 @@ def _delta_units(n=4, fs=1000.0):
     design = DesignParams(fs=fs, fd=fs / 8.0, seed=0)
     samples = np.zeros(1)
     samples[0] = 1.0
-    return [UnitCapricep(samples=samples.copy(), fs=fs, center_index=0,
-                         t_erd_s=0.001, design=design, sections=[])
+    return [UnitCapricep(samples=samples.copy(), fs=fs, t_erd_s=0.001, design=design,
+                         sections=[])
             for _ in range(n)]
 
 
@@ -88,6 +90,14 @@ def test_orthogonalize_zero_input_and_shape_guards():
         orthogonalize(q, B4[:3], 32)
     with pytest.raises(AnalysisError):
         compress(np.zeros(100), units, n_o=32)
+
+
+def test_orthogonalize_refuses_a_channel_shorter_than_one_8_cycle():
+    """compress refuses a recording under 8 n_o first, so only a
+    hand-built CompressedSignals reaches this check."""
+    q = CompressedSignals(q=[np.zeros(8 * 32 - 1)] * 4, alignment=0)
+    with pytest.raises(AnalysisError, match="shorter than one 8-cycle"):
+        orthogonalize(q, B4, 32)
 
 
 def test_compress_equals_fftconvolve_of_each_reversed_unit():
@@ -193,10 +203,16 @@ def test_decompose_identity_system_recovers_flat_response():
         assert len(result.levels_db[key]) == len(result.levels_db["freq_hz"])
 
 
-# A silence of 3 n_o fits one overlap-save frame; one of 20,000 samples
-# spans several, each dropping its wrapped head.
+# A silence of 3 n_o fits one frame of _decompose_reference's
+# overlap-save; one of 20,000 samples spans several, each dropping its
+# wrapped head.
 @pytest.mark.parametrize("n_silence,one_frame", [(3 * 222, True), (20_000, False)])
-def test_background_frames_are_the_valid_compression_of_the_silence(n_silence, one_frame):
+def test_background_frames_are_the_valid_compression_of_the_silence(n_silence, one_frame,
+                                                                   monkeypatch):
+    """decompose correlates the silence in windows of n_o + L - 1 samples
+    at hop n_o.  The frames it hands to the level table are the valid
+    correlation of the silence with the fourth unit, cut every n_o, and
+    its levels match the overlap-save reference's."""
     units = [generate_unit(d) for d in
              derive_unit_designs(DesignParams(fs=8000.0, fd=250.0, seed=17))]
     u4 = units[3].samples
@@ -204,7 +220,17 @@ def test_background_frames_are_the_valid_compression_of_the_silence(n_silence, o
     assert n_o == 222
     silence = np.random.default_rng(n_silence).standard_normal(n_silence) * 0.1
     assert (OverlapSave(silence, n_o).skip == 0) == one_frame
-    frames = _background_frames(silence, u4, n_o, scale)
+    handed = []
+
+    def level_table(*args):
+        handed.append(args[-1])
+        return _level_table(*args)
+
+    monkeypatch.setattr(analyzer, "_level_table", level_table)
+    session = (units, n_o, default_n_repeats(1))
+    recorded = build_test_signal(*session) * scale
+    assert _assert_decompose_matches_reference(recorded, silence, session, scale).background_valid
+    frames, = handed
     valid = fftconvolve(silence / scale, u4[::-1], mode="valid")
     n_frames = len(valid) // n_o
     assert frames.shape == (n_frames, n_o)
@@ -219,7 +245,7 @@ def test_background_of_a_silence_shorter_than_the_unit_is_invalid():
     n_o = len(u4) // 4
     silence = np.full(2 * n_o, 1e-3)
     assert len(silence) < len(u4)
-    assert _background_frames(silence, u4, n_o, 1.0) is None
+    assert _silence_windows(silence, len(u4), n_o, 1.0) is None
 
 
 def test_level_table_averages_each_frame_stack_in_power():
@@ -267,7 +293,16 @@ def _decompose_reference(recorded, pre_silence, units, n_o, n_repeats, scale):
     lti_raw = (r_m[0] + r_m[1] + r_m[2]) / 3.0
     dev_stack = np.stack([rm - lti_raw for rm in r_m])
     w4 = np.stack([r_itr[3][n_ini + 8 * k * n_o:n_ini + 8 * k * n_o + n_o] for k in omega])
-    background = _background_frames(pre_silence, units[3].samples, n_o, scale)
+    # The silence in one overlap-save pass with the reversed fourth unit,
+    # keeping the lags where the unit overlaps it whole, cut every n_o.
+    u4, background = units[3].samples, None
+    if pre_silence is not None and len(pre_silence) >= 2 * n_o and (
+            np.max(np.abs(pre_silence)) < 0.999 * max(1.0, scale)):
+        silence = np.asarray(pre_silence, dtype=float) / scale
+        qbg = OverlapSave(silence, len(u4)).convolve(u4[::-1])[len(u4) - 1:len(silence)]
+        n_frames = len(qbg) // n_o
+        if n_frames >= 1:
+            background = qbg[: n_frames * n_o].reshape(n_frames, n_o)
     levels = _level_table(units[0].fs, n_o, lti_raw, dev_stack, w4, background)
     return (lti_raw, np.sqrt((dev_stack ** 2).mean(axis=0)),
             np.sqrt((w4 ** 2).mean(axis=0)) * np.sqrt(8.0), levels,

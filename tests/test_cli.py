@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -259,6 +260,24 @@ def test_main_builds_its_parser_once_and_answers_as_a_fresh_one(tmp_path, capsys
     assert reused[3][1].out.strip() == capricep.__version__
     for name in ("unit.wav", "unit.json", "test_signal.wav", "test_signal.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_main_runs_on_a_c_library_without_mallopt(tmp_path, monkeypatch):
+    """Where the C library has no mallopt the heap settings are skipped."""
+    monkeypatch.setattr(capricep.cli.ctypes, "CDLL", lambda name: object())
+    assert capricep.cli._keep_freed_heap() is None
+    assert main(["design", *FAST, "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "unit.wav").exists()
+
+
+def test_the_module_run_as_a_script_exits_with_mains_code(monkeypatch, capsys):
+    # runpy warns when the module it runs as __main__ is already imported.
+    monkeypatch.delitem(sys.modules, "capricep.cli")
+    monkeypatch.setattr(sys, "argv", ["capricep", "--version"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("capricep.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == capricep.__version__
 
 
 def test_make_signal_rejects_zero_n_o(tmp_path, capsys):

@@ -26,7 +26,6 @@ from capricep.design import (
     raised_cosine_short_params,
 )
 from capricep.errors import DesignError
-from capricep.shaping import EnsembleVariance, ShapeTarget
 from capricep.simulator import VirtualSystem
 
 
@@ -221,13 +220,11 @@ def test_beta_draws_that_underflow_to_zero_end_in_a_design_error():
 # One factory per frozen dataclass that holds an ndarray.
 _ARRAY_RECORDS = {
     "UnitCapricep": lambda: generate_unit(DesignParams(fs=8000.0, fd=250.0, seed=5)),
-    "CascadeResponse": lambda: CascadeResponse(phase_half=np.zeros(3), fft_length=4),
+    "CascadeResponse": lambda: CascadeResponse(phase_half=np.zeros(3)),
     "CompressedSignals": lambda: CompressedSignals(q=[np.zeros(3)], alignment=0),
     "DecompositionResult": lambda: DecompositionResult(
         np.zeros(3), np.zeros(3), np.zeros(3), {"freq_hz": np.zeros(2)}, 0, 1, False),
     "VirtualSystem": lambda: VirtualSystem(lti_ir=np.array([1.0, 0.5])),
-    "ShapeTarget": lambda: ShapeTarget("rectangular", 0.002, np.full(4, 0.25)),
-    "EnsembleVariance": lambda: EnsembleVariance(np.ones(4), 8, 8000.0, 2),
     "AugmentReport": lambda: capricep.AugmentReport(*(np.zeros(3) for _ in range(5))),
 }
 

@@ -26,8 +26,8 @@ def _delta_unit(length: int, fs: float = 1000.0, at: int = 0) -> UnitCapricep:
     samples = np.zeros(length)
     samples[at] = 1.0
     design = DesignParams(fs=fs, fd=fs / 8.0, seed=0)
-    return UnitCapricep(samples=samples, fs=fs, center_index=0,
-                        t_erd_s=length / fs / 4.0, design=design, sections=[])
+    return UnitCapricep(samples=samples, fs=fs, t_erd_s=length / fs / 4.0, design=design,
+                        sections=[])
 
 
 def test_weight_matrix_entries():
@@ -73,8 +73,8 @@ def test_sequence_matches_dense_convolution_oracle():
 def test_overlapping_shift_adds_linearly():
     unit = _delta_unit(8)
     unit_scaled = UnitCapricep(
-        samples=2.0 * unit.samples, fs=unit.fs, center_index=0,
-        t_erd_s=unit.t_erd_s, design=unit.design, sections=[])
+        samples=2.0 * unit.samples, fs=unit.fs, t_erd_s=unit.t_erd_s, design=unit.design,
+        sections=[])
     a = build_sequence(unit, B4[3], 4, 8)
     b = build_sequence(unit_scaled, B4[3], 4, 8)
     assert np.allclose(b, 2.0 * a)
