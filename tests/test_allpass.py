@@ -261,9 +261,9 @@ def test_complex_dc_or_nyquist_bin_rejected(index):
 
 @pytest.mark.parametrize("k", [0, 1, 4])
 def test_a_half_grid_of_no_power_of_two_length_is_refused(k):
-    """The grid length is read from the half grid, 2 (k - 1) points, so a
-    half grid no power-of-two grid has cannot render a response that is
-    not all-pass."""
+    """impulse_response reads the grid length from the half grid, 2 (k - 1)
+    points, so a half grid that belongs to no power-of-two grid is refused
+    instead of rendered as a response that is not all-pass."""
     with pytest.raises(SignalError, match="not a power of two"):
         impulse_response(CascadeResponse(np.zeros(k)))
 
