@@ -9,7 +9,7 @@ per-band spectral deviation.
 Every variant's unit is short, so the input is framed and transformed
 once, for the longest unit (m samples), by overlap-save
 (``fftconv.OverlapSave``), and a variant y = x * u costs one short rfft
-of u and one batched irfft.  The SNR aligns y to x at the first maximum
+of u and an irfft per frame.  The SNR aligns y to x at the first maximum
 of |r_xx * u|, the cross-correlation of y with x at lags -(n-1) ..
 len(y)-1, where r_xx is the input's autocorrelation.  By Cauchy-Schwarz
 no lag L can reach more than |u| times the norm of the m samples of r_xx
@@ -18,7 +18,8 @@ outside a window of 5 m lags around 0 (``_LagSearch``).  A variant's
 search is then one circular correlation of u with the short slice of
 r_xx that window reads, on a grid of about 6 m points; only when the
 window's peak does not beat the bound, or the window covers every lag,
-does it correlate at every lag by overlap-save.  Band levels use their own report grid,
+does it correlate at every lag by overlap-save, in two pieces through
+the worker's scratch buffer.  Band levels use their own report grid,
 next_pow2 of the longest variant.  It holds every variant whole, so a
 variant's report spectrum is exactly X U, and band b's power is
 sum |X|^2 |U|^2 = sum_l c[l] S[b, l], where c = (a[0], 2 a[1], ...) comes
@@ -28,9 +29,22 @@ against cos(2 pi k l / n_report), is built once per call
 pair and a small matrix-vector product, and no transform on the report
 grid.  A variant whose design fits fewer than two sections below
 Nyquist, like a base design with fd >= fs/2, is the identity.
+
+The units, the framed input, the lag search and the band lag sums are
+built serially.  The variants then run on W = min(the CPUs in
+os.sched_getaffinity, n_variants) workers, the calling thread and W - 1
+threads: variant i on worker i mod W, into slot i.  Their time goes to
+numpy kernels that release the GIL.  The calling thread allocates every
+signal-length array a worker writes, each variant's output and one
+scratch buffer of n + m - 1 samples per worker, because glibc gives each
+thread its own malloc arena and arrays allocated on workers grow the
+peak RSS.  No result depends on W: each variant's arithmetic is the same
+on any worker, and the SNR's sums are np.einsum's, not BLAS's.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -101,6 +115,7 @@ class _LagSearch:
         self._x, self._m = x, m
         self._w = w = _WINDOW_UNITS * m
         self._full: OverlapSave | None = None  # built on first need
+        self._lock = threading.Lock()  # workers share one search
         self._near: np.ndarray | None = None  # spectrum of the window's r
         self.full_searches = 0
         n = len(x)
@@ -137,36 +152,52 @@ class _LagSearch:
         cc = np.fft.irfft(self._near * np.fft.rfft(u, self._nf), self._nf)
         return cc[:2 * self._w + self._m]
 
-    def lag(self, u: np.ndarray) -> int:
+    def lag(self, u: np.ndarray, buf: np.ndarray) -> int:
+        """The lag of u; a full search runs in pieces the length of the
+        scratch buffer ``buf``."""
         if self._near is not None:
             cc = self.window_cc(u)
             lag = _peak_lag(cc, -self._w)
             if cc[lag + self._w] ** 2 > np.dot(u, u) * self._outside2:
                 return lag
-        self.full_searches += 1
-        if self._full is None:
-            self._full = OverlapSave(autocorrelation(self._x), self._m)
-        return _peak_lag(self._full.convolve(u), 1 - len(self._x))
+        with self._lock:
+            self.full_searches += 1
+            if self._full is None:
+                self._full = OverlapSave(autocorrelation(self._x), self._m)
+        # A worker's buffer of n + m - 1 samples takes cc's 2n + k - 2 in
+        # two pieces; a later piece wins only with a strictly larger |cc|.
+        n_cc = 2 * len(self._x) + len(u) - 2
+        best, peak = 0, -1.0
+        for start in range(0, n_cc, len(buf)):
+            piece = self._full.convolve(u, buf[:min(len(buf), n_cc - start)], start)
+            i = _peak_lag(piece, 0)
+            if piece[i] > peak:
+                best, peak = start + i, piece[i]
+        return best + 1 - len(self._x)
 
 
-def _aligned_snr_db(x: np.ndarray, y: np.ndarray, lag: int) -> float:
-    """SNR after scalar-gain alignment of y, shifted by ``lag``, to x."""
+def _aligned_snr_db(x: np.ndarray, y: np.ndarray, lag: int, xx: float,
+                    buf: np.ndarray) -> float:
+    """SNR after scalar-gain alignment of y, shifted by ``lag``, to x, with
+    xx = x . x; ``buf`` is scratch of at least len(x) samples.  Its sums
+    are np.einsum's, which unlike np.dot's do not depend on BLAS threads."""
+    err = buf[:len(x)]
     if 0 <= lag <= len(y) - len(x):
         ya = y[lag:lag + len(x)]  # a view: the usual case copies nothing
     else:
         # ya[i] = y[i + lag] where that sample exists, else 0.
-        ya = np.zeros(len(x))
+        ya = err
+        ya.fill(0.0)
         lo = max(0, -lag)
         seg = y[lo + lag:lag + len(x)]
         ya[lo:lo + len(seg)] = seg
-    denom = float(np.dot(ya, ya))
-    gain = float(np.dot(x, ya)) / denom if denom > 0 else 1.0
-    err = x - gain * ya
-    pe = float(np.dot(err, err))
-    px = float(np.dot(x, x))
-    if pe <= px * 10.0 ** (-SNR_CAP_DB / 10.0):
+    denom = float(np.einsum("i,i->", ya, ya))
+    gain = float(np.einsum("i,i->", x, ya)) / denom if denom > 0 else 1.0
+    np.subtract(x, np.multiply(ya, gain, out=err), out=err)
+    pe = float(np.einsum("i,i->", err, err))
+    if pe <= xx * 10.0 ** (-SNR_CAP_DB / 10.0):
         return SNR_CAP_DB
-    return 10.0 * np.log10(px / pe)
+    return 10.0 * np.log10(xx / pe)
 
 
 def _histogram(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -174,16 +205,47 @@ def _histogram(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return counts / max(1, len(x))
 
 
-def _skewness(x: np.ndarray) -> float:
+def _skewness(x: np.ndarray, buf: np.ndarray) -> float:
     """Sample skewness m3 / m2**1.5 from the central moments, 0.0 for a
     signal without variance (a constant or a single sample): scipy's
-    test m2 <= (eps * mean)**2, under which scipy.stats.skew gives NaN."""
+    test m2 <= (eps * mean)**2, under which scipy.stats.skew gives NaN.
+    ``buf`` is scratch of at least len(x) samples."""
     mean = x.mean()
-    d = x - mean
+    d = np.subtract(x, mean, out=buf[:len(x)])
     m2 = np.einsum("i,i->", d, d) / len(x)
     if m2 <= (np.finfo(float).eps * mean) ** 2:
         return 0.0
     return float(np.einsum("i,i,i->", d, d, d) / len(x) / m2 ** 1.5)
+
+
+def _worker_count(n_variants: int) -> int:
+    """W = min(the CPUs this process may run on, n_variants)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without sched_getaffinity
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_variants)
+
+
+def _fan_out(work, n_workers: int) -> None:
+    """work(0) in the calling thread and work(1) .. work(W - 1) on threads
+    of their own; once all have ended, the first failure is raised."""
+    failures = []
+
+    def guarded(first: int) -> None:
+        try:
+            work(first)
+        except BaseException as exc:  # re-raised in the calling thread
+            failures.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(w,)) for w in range(1, n_workers)]
+    for t in threads:
+        t.start()
+    guarded(0)
+    for t in threads:
+        t.join()
+    if failures:
+        raise failures[0]
 
 
 def _unit_or_identity(p: DesignParams, t_erd_s: float) -> np.ndarray | None:
@@ -245,33 +307,43 @@ def augment(
                                    *bands.band_bins(fs, centers, n_report), n_report, m)
     px = lag_sums[:, 0]
     keep = px > 0
+    px_db = bands.to_db(px[keep])
+    xx = float(np.einsum("i,i->", x, x))
 
-    variants: list[np.ndarray] = []
+    # Every signal-length array a worker writes is allocated here, by the
+    # calling thread (see the module docstring).  The scratch buffers, freed
+    # on return, come before the outputs, which outlive the call: in the
+    # other order, repeated calls fragmented the heap, and the augment
+    # benchmark's peak RSS read 160-168 MB instead of 154-157 MB.
+    n_workers = _worker_count(n_variants)
+    scratch = [np.empty(len(x) + m - 1) for _ in range(n_workers)]
+    variants = [x.copy() if u is None else np.empty(len(x) + len(u) - 1) for u in units]
     snrs = np.empty(n_variants)
-    hists = [_histogram(x / peak, edges)]
-    skews = [_skewness(x)]
-    deltas = []
-    for i, u in enumerate(units):
-        if u is None:
-            y = x.copy()
-            snrs[i] = SNR_CAP_DB
-            py = px
-        else:
-            y = framed_x.convolve(u)
-            snrs[i] = _aligned_snr_db(x, y, lags.lag(u))
-            c = autocorrelation(u)[len(u) - 1:]
-            c[1:] *= 2.0
-            py = lag_sums[:, :len(u)] @ c
-        variants.append(y)
-        hists.append(_histogram(y / peak, edges))
-        skews.append(_skewness(y))
-        deltas.append(bands.to_db(py[keep]) - bands.to_db(px[keep]))
+    hists = np.empty((n_variants + 1, HISTOGRAM_BINS))
+    skews = np.empty(n_variants + 1)
+    deltas = np.empty((n_variants, len(px_db)))
+    hists[0] = _histogram(np.divide(x, peak, out=scratch[0][:len(x)]), edges)
+    skews[0] = _skewness(x, scratch[0])
 
-    report = AugmentReport(
-        snr_db=snrs,
-        value_histograms=np.stack(hists),
-        histogram_edges=edges,
-        spectra_delta_db=np.stack(deltas),
-        skewness=np.array(skews),
-    )
+    def work(first: int) -> None:
+        """Variants first, first + W, ..., each into its own slots."""
+        buf = scratch[first]
+        for i in range(first, n_variants, n_workers):
+            u, y = units[i], variants[i]
+            if u is None:
+                snrs[i] = SNR_CAP_DB
+                py = px
+            else:
+                framed_x.convolve(u, y)
+                snrs[i] = _aligned_snr_db(x, y, lags.lag(u, buf), xx, buf)
+                c = autocorrelation(u)[len(u) - 1:]
+                c[1:] *= 2.0
+                py = lag_sums[:, :len(u)] @ c
+            hists[i + 1] = _histogram(np.divide(y, peak, out=buf[:len(y)]), edges)
+            skews[i + 1] = _skewness(y, buf)
+            deltas[i] = bands.to_db(py[keep]) - px_db
+
+    _fan_out(work, n_workers)
+    report = AugmentReport(snr_db=snrs, value_histograms=hists, histogram_edges=edges,
+                           spectra_delta_db=deltas, skewness=skews)
     return variants, report

@@ -2,13 +2,18 @@
 
 ``OverlapSave(x, m)`` cuts x into overlapping frames once and keeps
 their spectra; ``convolve(k)`` then returns the full linear convolution
-x * k of any kernel of at most m samples for one rfft of k and one
-batched irfft.  Frames are L = max(4096, next_pow2(8 m)) points long
+x * k of any kernel of at most m samples for one rfft of k and an irfft
+per frame.  Frames are L = max(4096, next_pow2(8 m)) points long
 and overlap by m - 1, so after the m - 1 wrapped samples are dropped
 each frame yields a hop of L - m + 1 output samples; L depends only on
 m, which keeps every FFT short however long x is.  When the whole
 convolution fits in L points it is one frame of next_fast_len(len(x) +
-m - 1) points with nothing dropped.
+m - 1) points with nothing dropped.  ``convolve`` transforms a fixed
+number of frames at a time through two small buffers, and writes any run
+of output samples into the caller's ``out``; each frame's irfft row is
+bit-identical to the batched one.  It is the one convolution path of the
+simulator, the analyzer and augment, which preallocates ``out`` on the
+calling thread and so runs its workers without signal-length temporaries.
 
 This module holds both FFT length rules: ``next_pow2`` for the
 overlap-save frames and the power-of-two grids of the other modules,
@@ -23,6 +28,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 # Shortest overlap-save frame: below this, per-frame overhead outweighs
 # the shorter transforms.
 _MIN_FRAME = 4096
+# Frames ``convolve`` transforms at a time, through two buffers of this
+# many spectra and frames: its working memory does not grow with n.
+_CHUNK_FRAMES = 8
 
 
 def next_pow2(n: int) -> int:
@@ -50,7 +58,12 @@ def autocorrelation(x: np.ndarray) -> np.ndarray:
     n = len(x)
     nf = next_fast_len(2 * n - 1)
     spec = np.fft.rfft(x, nf)
-    r = np.fft.irfft(spec.real ** 2 + spec.imag ** 2, nf)
+    power = spec.real ** 2
+    power += spec.imag ** 2
+    spec.real, spec.imag = power, 0.0  # |X|^2 in place of X: no third buffer
+    del power
+    r = np.fft.irfft(spec, nf)
+    del spec
     return np.concatenate([r[nf - (n - 1):], r[:n]])
 
 
@@ -76,10 +89,33 @@ class OverlapSave:
         padded[self.skip:self.skip + self.n] = x
         self._spec = np.fft.rfft(sliding_window_view(padded, frame)[::hop], axis=-1)
 
-    def convolve(self, kernel: np.ndarray) -> np.ndarray:
-        """Full linear convolution of the signal with ``kernel``."""
+    def convolve(self, kernel: np.ndarray, out: np.ndarray | None = None,
+                 start: int = 0) -> np.ndarray:
+        """Samples start .. start + len(out) - 1 of the full linear
+        convolution of the signal with ``kernel``, written into ``out``;
+        by default ``out`` is new and runs to the convolution's end."""
         k = len(kernel)
         if not 1 <= k <= self.m:
             raise ValueError(f"kernel length {k} outside 1 .. {self.m}")
-        out = np.fft.irfft(self._spec * np.fft.rfft(kernel, self.frame), self.frame, axis=-1)
-        return out[:, self.skip:].reshape(-1)[:self.n + k - 1]
+        n_out = self.n + k - 1
+        if out is None:
+            out = np.empty(n_out - start)
+        end = start + len(out)
+        if not 0 <= start <= end <= n_out:
+            raise ValueError(f"samples {start} .. {end - 1} outside 0 .. {n_out - 1}")
+        hop = self.frame - self.skip
+        spec = np.fft.rfft(kernel, self.frame)
+        first, stop = start // hop, -(-end // hop)
+        rows = max(1, min(_CHUNK_FRAMES, stop - first))
+        prod = np.empty((rows, len(spec)), complex)
+        frames = np.empty((rows, self.frame))
+        for f in range(first, stop, rows):
+            r = min(rows, stop - f)
+            np.multiply(self._spec[f:f + r], spec, out=prod[:r])
+            np.fft.irfft(prod[:r], self.frame, axis=-1, out=frames[:r])
+            # Frame f keeps its samples from ``skip`` on: output f*hop on.
+            for j in range(r):
+                at = (f + j) * hop
+                lo, hi = max(at, start), min(at + hop, end)
+                out[lo - start:hi - start] = frames[j, self.skip + lo - at:self.skip + hi - at]
+        return out

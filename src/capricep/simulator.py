@@ -89,6 +89,24 @@ class VirtualSystem:
         return cls.from_dict(d)
 
 
+def _polynomial(y: np.ndarray, coeffs) -> np.ndarray:
+    """0.0 + c1 y + c2 y^2 + ..., added in that order.  Each power is
+    built in place, and so is the last power's term, which may be y."""
+    last = max((p for p, c in enumerate(coeffs) if c != 0.0), default=-1)
+    if last < 0:
+        return np.zeros_like(y)
+    nl, xp = None, y
+    for p, c in enumerate(coeffs[:last + 1]):
+        if p == 1:
+            xp = y * y
+        elif p > 1:
+            xp *= y
+        if c != 0.0:
+            term = np.multiply(xp, c, out=xp if p == last else None)
+            nl = np.add(term, 0.0, out=term) if nl is None else np.add(nl, term, out=nl)
+    return nl
+
+
 def run(
     system: VirtualSystem,
     signal: np.ndarray,
@@ -112,28 +130,32 @@ def run(
     ir = np.asarray(system.lti_ir, dtype=float)
     y = OverlapSave(signal, len(ir)).convolve(ir)
 
-    nl = np.zeros_like(y)
-    xp = np.ones_like(y)
-    for c in system.nl_coeffs:
-        xp = xp * y
-        if c != 0.0:
-            nl += c * xp
-    y = nl
-    if not np.all(np.abs(y) <= 10.0):  # also trips on NaN
+    y = _polynomial(y, system.nl_coeffs)
+    if not (y.min() >= -10.0 and y.max() <= 10.0):  # also trips on NaN
         raise SignalError("nonlinearity overflow: |y| exceeded 10 or is not finite")
 
     if system.drift is not None:
         period_s, depth = system.drift
-        t = np.arange(len(y)) / fs
-        y = y * (1.0 + depth * np.sin(2.0 * np.pi * t / period_s))
+        gain = np.arange(len(y), dtype=float)
+        gain /= fs
+        gain *= 2.0 * np.pi
+        gain /= period_s
+        np.sin(gain, out=gain)
+        gain *= depth
+        gain += 1.0
+        y *= gain
 
-    y = np.concatenate([np.zeros(int(system.latency_samples)), y])
-
+    n_lat = int(system.latency_samples)
+    out = np.empty(n_lat + len(y))
     rng = np.random.default_rng(int(system.noise_seed))
     if system.noise_level_db is not None:
         sigma = 10.0 ** (system.noise_level_db / 20.0)
         pre = rng.normal(0.0, sigma, n_pre)
-        y = y + rng.normal(0.0, sigma, len(y))
+        rng.standard_normal(out=out)
+        out *= sigma
+        out[n_lat:] += y
     else:
         pre = np.zeros(n_pre)
-    return y, pre
+        out[:n_lat] = 0.0
+        out[n_lat:] = y
+    return out, pre

@@ -1,7 +1,13 @@
 """All-pass filter-bank augmentation: invariants and reporting."""
+import importlib
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +22,7 @@ from capricep.augment import (
     _LagSearch,
     _peak_lag,
     _skewness,
+    _worker_count,
     augment,
 )
 from capricep.bands import band_powers, third_octave_centers, to_db
@@ -26,6 +33,9 @@ from capricep.fftconv import OverlapSave, autocorrelation, next_pow2
 from capricep.wavio import read_wav
 
 FS = 16000.0
+# The package re-exports the augment() function under the submodule's name.
+_augment_module = importlib.import_module("capricep.augment")
+_FAN_OUT = _augment_module._fan_out
 
 
 def _reference_aligned_snr_db(x, y):
@@ -81,6 +91,16 @@ def _reference_augment(x, fs, base, n_variants, seed, t_erd_s):
         xi = np.concatenate([x, np.zeros(len(y) - len(x))])
         deltas.append(_reference_band_level_deviation_db(xi, y, fs))
     return variants, np.array(snrs), np.stack(hists), np.stack(deltas), np.array(skews)
+
+
+def _scratch(x, u):
+    """A worker's scratch buffer for units of at most len(u) samples."""
+    return np.empty(len(x) + len(u) - 1)
+
+
+def _snr_at(x, y, lag):
+    """augment's aligned SNR of y at ``lag``, with x . x summed as it sums it."""
+    return _aligned_snr_db(x, y, lag, float(np.einsum("i,i->", x, x)), np.empty(len(x)))
 
 
 def _asymmetric_signal(n=16000):
@@ -247,19 +267,23 @@ def test_aligned_snr_finds_positive_and_wrapped_negative_lags(shift):
     assert _reference_aligned_snr_db(x, y) == pytest.approx(expected, abs=1e-9)
     lag = _peak_lag(_linear_xcorr(x, y), 1 - len(x))
     assert lag == shift
-    assert _aligned_snr_db(x, y, lag) == pytest.approx(expected, abs=1e-9)
+    assert _snr_at(x, y, lag) == pytest.approx(expected, abs=1e-9)
 
 
 @pytest.mark.parametrize("lag", [-9, -1, 0, 6, 7, 15])
 def test_aligned_snr_at_each_placement_of_x_against_y(lag):
     """x starts before y (lag < 0), lies inside it (0 .. 6) or runs past
-    its end (7 .. 15); zeros stand in for the samples y lacks."""
+    its end (7 .. 15); zeros stand in for the samples y lacks.  Sums are
+    np.einsum's, as in augment."""
     rng = np.random.default_rng(11)
     x, y = rng.standard_normal(10), rng.standard_normal(16)
     padded = np.concatenate([np.zeros(len(x)), y, np.zeros(len(x))])
     ya = padded[lag + len(x):lag + 2 * len(x)]
-    err = x - np.dot(x, ya) / np.dot(ya, ya) * ya
-    assert _aligned_snr_db(x, y, lag) == 10.0 * np.log10(np.dot(x, x) / np.dot(err, err))
+
+    def dot(a, b):
+        return float(np.einsum("i,i->", a, b))
+    err = x - dot(x, ya) / dot(ya, ya) * ya
+    assert _snr_at(x, y, lag) == 10.0 * np.log10(dot(x, x) / dot(err, err))
 
 
 def test_aligned_snr_breaks_a_tie_toward_the_negative_lag():
@@ -272,7 +296,7 @@ def test_aligned_snr_breaks_a_tie_toward_the_negative_lag():
     cc[4], cc[0] = 1.0, -1.0
     lag = _peak_lag(cc, 1 - len(x))
     assert lag == -2
-    assert _aligned_snr_db(x, y, lag) == SNR_CAP_DB  # lag +2 would give 0 dB
+    assert _snr_at(x, y, lag) == SNR_CAP_DB  # lag +2 would give 0 dB
     assert _peak_lag(np.array([0.5, -2.0, 1.0, 2.0]), -512) == -511
 
 
@@ -322,8 +346,8 @@ def _check_lags_and_snrs(x, seed, n_variants=4):
     variants, rep = augment(x, FS, base_params=base, n_variants=n_variants, seed=seed)
     for u, y, snr in zip(units, variants, rep.snr_db):
         lag = _full_search_lag(x, m, u)
-        assert search.lag(u) == lag
-        assert snr == _aligned_snr_db(x, y, lag)
+        assert search.lag(u, _scratch(x, u)) == lag
+        assert snr == _snr_at(x, y, lag)
     return search.full_searches
 
 
@@ -356,7 +380,27 @@ def test_window_correlation_equals_the_full_one_at_every_window_lag(n):
         cc = full.convolve(u[:k])[n - 1 - 512:n - 1 + 768]
         np.testing.assert_allclose(search.window_cc(u[:k]), cc, rtol=0.0,
                                    atol=1e-12 * np.max(np.abs(cc)))
-        assert search.lag(u[:k]) == _full_search_lag(x, len(u), u[:k])
+        assert search.lag(u[:k], _scratch(x, u)) == _full_search_lag(x, len(u), u[:k])
+
+
+def test_a_full_search_in_pieces_keeps_the_first_maximum():
+    """Units 1 + z^-d on integer inputs tie |cc| at several lags; searched
+    in pieces of any length, the lag is still that of the first maximum."""
+    rng = np.random.default_rng(0)
+    ties = 0
+    for _ in range(40):
+        n, d = int(rng.integers(20, 200)), int(rng.integers(1, 8))
+        x = rng.integers(-2, 3, n).astype(float)
+        x[0] = 1.0
+        u = np.zeros(d + 1)
+        u[[0, d]] = 1.0
+        cc = np.abs(OverlapSave(autocorrelation(x), n).convolve(u))
+        ties += np.count_nonzero(cc == cc.max()) > 1
+        for piece in (3, 17, 2 * n - 1):
+            search = _LagSearch(x, n)  # m = n: no window, every search is full
+            assert search.lag(u, np.empty(piece)) == _full_search_lag(x, n, u)
+            assert search.full_searches == 1
+    assert ties >= 10
 
 
 @pytest.mark.parametrize("n", [1, 100, 5 * 256])
@@ -368,8 +412,8 @@ def test_inputs_without_lags_outside_the_window_search_every_lag(n):
                       0.002).samples
     assert len(u) == 256
     search = _LagSearch(x, len(u))
-    assert search.lag(u) == _full_search_lag(x, len(u), u)
-    assert search.lag(u[:100]) == _full_search_lag(x, len(u), u[:100])
+    assert search.lag(u, _scratch(x, u)) == _full_search_lag(x, len(u), u)
+    assert search.lag(u[:100], _scratch(x, u)) == _full_search_lag(x, len(u), u[:100])
     assert search.full_searches == 2
 
 
@@ -431,7 +475,7 @@ def test_skewness_of_a_signal_without_variance_is_zero_without_a_warning(x):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, rep = augment(x, FS, n_variants=1)
-        assert _skewness(x) == 0.0
+        assert _skewness(x, np.empty(len(x))) == 0.0
     assert rep.skewness[0] == 0.0
 
 
@@ -442,3 +486,123 @@ def test_report_of_a_signal_without_variance_holds_no_nan(x):
     for name in ("snr_db", "value_histograms", "histogram_edges", "spectra_delta_db",
                  "skewness"):
         assert not np.isnan(getattr(rep, name)).any(), name
+
+
+def _on_cpus(monkeypatch, n_cpus):
+    """Let augment see n_cpus CPUs; returns the list of worker counts it
+    then runs with, one per call."""
+    widths = []
+
+    def fan_out(work, n_workers):
+        widths.append(n_workers)
+        _FAN_OUT(work, n_workers)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+    monkeypatch.setattr(_augment_module, "_fan_out", fan_out)
+    return widths
+
+
+_REPORT_FIELDS = ("snr_db", "value_histograms", "histogram_edges", "spectra_delta_db",
+                  "skewness")
+_FAN_OUT_CASES = {
+    "filtered": lambda: (_noise_with_random_pulses(20000, 1), FS, dict(seed=3)),
+    "identity": lambda: (_noise_with_random_pulses(3000, 2), FS,
+                         dict(base_params=DesignParams(fs=FS, fd=FS, seed=0))),
+    # At 8 kHz and T_ERD 1 ms, seed 9 derives units [-, -, u, -, -, u, u],
+    # where - is a design of too few sections below Nyquist: the identity.
+    "mixed": lambda: (_noise_with_random_pulses(8000, 3), 8000.0,
+                      dict(seed=9, t_erd_s=0.001)),
+    # Every variant is searched at every lag, so workers share the
+    # lazily built full search.
+    "pulse-train-97": lambda: ((np.arange(20000) % 97 == 0).astype(float), FS, dict(seed=3)),
+}
+
+
+@pytest.mark.parametrize("case", list(_FAN_OUT_CASES))
+def test_every_output_is_bit_identical_on_1_2_and_5_cpus(monkeypatch, case):
+    x, fs, kwargs = _FAN_OUT_CASES[case]()
+    runs = []
+    for n_cpus in (1, 2, 5):
+        widths = _on_cpus(monkeypatch, n_cpus)
+        runs.append(augment(x, fs, n_variants=7, **kwargs))
+        assert widths == [n_cpus]
+    (variants, report), *others = runs
+    for other_variants, other_report in others:
+        assert len(other_variants) == len(variants) == 7
+        for v, w in zip(variants, other_variants):
+            assert v.shape == w.shape and v.tobytes() == w.tobytes()
+        for name in _REPORT_FIELDS:
+            a, b = getattr(report, name), getattr(other_report, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def test_every_variant_of_a_short_input_searches_fully_on_two_workers(monkeypatch):
+    """An input under 5 m = 1280 samples leaves no lag outside the window:
+    both workers need the full search, which is framed once per call."""
+    x = _noise_with_random_pulses(1000, seed=4)
+    framed, searches = [], []
+
+    class CountedOverlapSave(OverlapSave):
+        def __init__(self, signal, m):
+            framed.append(len(signal))
+            super().__init__(signal, m)
+
+    class KeptLagSearch(_LagSearch):
+        def __init__(self, signal, m):
+            super().__init__(signal, m)
+            searches.append(self)
+    monkeypatch.setattr(_augment_module, "OverlapSave", CountedOverlapSave)
+    monkeypatch.setattr(_augment_module, "_LagSearch", KeptLagSearch)
+    runs = []
+    for n_cpus in (1, 2):
+        framed.clear()
+        widths = _on_cpus(monkeypatch, n_cpus)
+        runs.append(augment(x, FS, n_variants=6, seed=2))
+        assert widths == [n_cpus]
+        assert framed == [1000, 1999]  # the input, then its autocorrelation
+        assert searches[-1].full_searches == 6
+    (variants, report), (variants2, report2) = runs
+    assert all(v.tobytes() == w.tobytes() for v, w in zip(variants, variants2))
+    for name in _REPORT_FIELDS:
+        assert getattr(report, name).tobytes() == getattr(report2, name).tobytes(), name
+
+
+def test_a_failure_on_a_worker_thread_is_raised_by_augment(monkeypatch):
+    _on_cpus(monkeypatch, 2)
+
+    def failing_on_workers(x, buf):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("worker failed")
+        return _skewness(x, buf)
+    monkeypatch.setattr(_augment_module, "_skewness", failing_on_workers)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        augment(_noise_with_random_pulses(4000, 1), FS, n_variants=2)
+
+
+@pytest.mark.parametrize("cpu_count,workers", [(3, 3), (None, 1)])
+def test_worker_count_falls_back_to_cpu_count(monkeypatch, cpu_count, workers):
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert _worker_count(16) == workers
+    assert _worker_count(2) == min(2, workers)
+
+
+def test_snr_does_not_depend_on_the_blas_thread_count():
+    """np.dot over a long signal splits its sum across OpenBLAS threads,
+    so its last bits follow their count; augment's sums do not."""
+    code = ("import numpy as np\n"
+            "from capricep.augment import augment\n"
+            "rng = np.random.default_rng(0)\n"
+            "x = 0.1 * rng.standard_normal(160_000)\n"
+            "x[rng.integers(0, len(x), len(x) // 97)] += 0.8\n"
+            "print(augment(x, 16000.0, n_variants=4, seed=1)[1].snr_db.tobytes().hex())\n")
+    path = [str(Path(_augment_module.__file__).resolve().parents[1]),
+            os.environ.get("PYTHONPATH", "")]
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p),
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

@@ -5,7 +5,7 @@ import pytest
 import scipy.fft
 from scipy.signal import fftconvolve
 
-from capricep.fftconv import OverlapSave, autocorrelation, next_fast_len
+from capricep.fftconv import _CHUNK_FRAMES, OverlapSave, autocorrelation, next_fast_len
 
 # Frame and hop for a longest kernel of 256 samples: L = max(4096,
 # next_pow2(8 * 256)) = 4096, and each frame yields L - 255 samples.
@@ -41,6 +41,39 @@ def test_frame_geometry():
     assert OverlapSave(np.ones(FRAME_256 - 254), 256)._spec.shape[0] == 2
     assert OverlapSave(np.ones(3 * HOP_256 - 255), 256)._spec.shape[0] == 3
     assert OverlapSave(np.ones(3 * HOP_256 - 254), 256)._spec.shape[0] == 4
+
+
+@pytest.mark.parametrize("n_frames", [1, 3, _CHUNK_FRAMES, _CHUNK_FRAMES + 1,
+                                      2 * _CHUNK_FRAMES + 5])
+def test_convolve_into_out_from_any_start_equals_the_whole_convolution(n_frames):
+    """Frame counts below, at and past a multiple of the chunk, and the
+    single-frame grid (n_frames 1): the whole convolution matches scipy's,
+    and every piece of it written into ``out`` is bit-identical to it."""
+    n = 100 if n_frames == 1 else n_frames * HOP_256 - 255
+    rng = np.random.default_rng(n_frames)
+    x = rng.standard_normal(n)
+    framed = OverlapSave(x, 256)
+    assert framed._spec.shape[0] == n_frames
+    for k in (256, 37):
+        kernel = rng.standard_normal(k)
+        whole = framed.convolve(kernel)
+        ref = fftconvolve(x, kernel)
+        assert np.max(np.abs(whole - ref)) <= 1e-12 * np.max(np.abs(ref))
+        total = len(whole)
+        for start, stop in ((0, total), (1, 6), (HOP_256 - 1, HOP_256 + 1), (17, total - 3),
+                            (total - 1, total), (total, total)):
+            start, stop = min(start, total), min(stop, total)  # the one-frame grid is short
+            out = np.full(max(0, stop - start), np.nan)
+            assert framed.convolve(kernel, out, start) is out
+            assert out.tobytes() == whole[start:stop].tobytes()
+        assert framed.convolve(kernel, start=7).tobytes() == whole[7:].tobytes()
+
+
+@pytest.mark.parametrize("start,length", [(-1, 3), (0, 20000), (99, 3)])
+def test_convolve_refuses_samples_outside_the_convolution(start, length):
+    framed = OverlapSave(np.ones(90), 8)  # 90 + 8 - 1 = 97 samples
+    with pytest.raises(ValueError, match="outside 0 .. 96"):
+        framed.convolve(np.ones(8), np.empty(length), start)
 
 
 def test_rejects_a_kernel_longer_than_declared():

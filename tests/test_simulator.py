@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from capricep.errors import SignalError
-from capricep.simulator import MAX_PAD_SAMPLES, VirtualSystem, run
+from capricep.simulator import MAX_PAD_SAMPLES, VirtualSystem, _polynomial, run
 
 FS = 8000.0
 
@@ -158,3 +158,45 @@ def test_latency_and_pre_silence_at_the_cap_are_accepted():
         VirtualSystem(lti_ir=(1.0,), latency_samples=MAX_PAD_SAMPLES + 1).validate()
     _, pre = run(VirtualSystem(lti_ir=(1.0,)), x, FS, pre_silence_s=MAX_PAD_SAMPLES / FS)
     assert len(pre) == MAX_PAD_SAMPLES
+
+
+def _reference_polynomial(y, coeffs):
+    """nl = 0.0 + c1 y + c2 y^2 + ... with a new array per step."""
+    nl, xp = np.zeros_like(y), np.ones_like(y)
+    for c in coeffs:
+        xp = xp * y
+        if c != 0.0:
+            nl += c * xp
+    return nl
+
+
+@pytest.mark.parametrize("coeffs", [
+    (), (0.0,), (1.0,), (0.0, 1.0), (1.0, 0.0, 0.2), (0.5, -0.25, 0.0, 0.1, 0.0), (0.0, 0.0, -3.0),
+])
+def test_polynomial_in_place_is_bit_identical_to_one_array_per_step(coeffs):
+    y = np.random.default_rng(len(coeffs)).uniform(-1.5, 1.5, 1000)
+    y[:2] = -0.0, 0.0
+    want = _reference_polynomial(y, coeffs)
+    got = _polynomial(y.copy(), coeffs)
+    assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got[:2]).any()  # 0.0 + (-0.0) is +0.0
+
+
+@pytest.mark.parametrize("nl_coeffs,drift", [((1.0,), None), ((1.0, 0.0, 0.2), (2.0, 0.1))])
+def test_run_traces_at_most_three_and_a_half_signals(nl_coeffs, drift):
+    """A new array per step of the chain traces 4.0 (linear) and 5.0
+    (cubic with drift) times the input's bytes; built in place, the
+    chain traces about 3."""
+    x = 0.3 * np.random.default_rng(0).standard_normal(100_000)
+    ir = np.exp(-np.arange(256) / 40.0)
+    system = VirtualSystem(lti_ir=ir / np.sqrt(np.sum(ir * ir)), nl_coeffs=nl_coeffs,
+                           noise_level_db=-50.0, drift=drift, latency_samples=123,
+                           noise_seed=4)
+    run(system, x[:1000], FS)  # leave first-call caches out
+    tracemalloc.start()
+    try:
+        run(system, x, FS, pre_silence_s=0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * x.nbytes
