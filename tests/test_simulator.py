@@ -182,7 +182,8 @@ def test_polynomial_in_place_is_bit_identical_to_one_array_per_step(coeffs):
     assert not np.signbit(got[:2]).any()  # 0.0 + (-0.0) is +0.0
 
 
-@pytest.mark.parametrize("nl_coeffs,drift", [((1.0,), None), ((1.0, 0.0, 0.2), (2.0, 0.1))])
+@pytest.mark.parametrize("nl_coeffs,drift", [((1.0,), None), ((1.0, 0.0, 0.2), (2.0, 0.1))],
+                         ids=["linear", "cubic-drift"])
 def test_run_traces_at_most_three_and_a_half_signals(nl_coeffs, drift):
     """A new array per step of the chain traces 4.0 (linear) and 5.0
     (cubic with drift) times the input's bytes; built in place, the
