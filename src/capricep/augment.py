@@ -18,12 +18,12 @@ outside a window of 5 m lags around 0 (``_LagSearch``).  A variant's
 search is then one circular correlation of u with the short slice of
 r_xx that window reads, on a grid of about 6 m points; only when the
 window's peak does not beat the bound, or the window covers every lag,
-does it correlate at every lag by overlap-save, in two pieces through
-the worker's scratch buffer.  Band levels use their own report grid,
-next_pow2 of the longest variant.  It holds every variant whole, so a
-variant's report spectrum is exactly X U, and band b's power is
-sum |X|^2 |U|^2 = sum_l c[l] S[b, l], where c = (a[0], 2 a[1], ...) comes
-from the unit's autocorrelation a and S[b, l], the band's |X|^2 summed
+does it correlate at every lag by overlap-save.  Band levels use their
+own report grid, next_pow2 of the longest variant.  It holds every
+variant whole, so a variant's report spectrum is exactly X U, and band
+b's power is sum |X|^2 |U|^2 = sum_l c[l] S[b, l], where c = (a[0],
+2 a[1], ...) comes from the unit's autocorrelation a and S[b, l], the
+band's |X|^2 summed
 against cos(2 pi k l / n_report), is built once per call
 (``bands.band_lag_sums``).  A variant's report then costs one short FFT
 pair and a small matrix-vector product, and no transform on the report
@@ -35,16 +35,23 @@ built serially.  The variants then run on W = min(the CPUs in
 os.sched_getaffinity, n_variants) workers, the calling thread and W - 1
 threads: variant i on worker i mod W, into slot i.  Their time goes to
 numpy kernels that release the GIL.  The calling thread allocates every
-signal-length array a worker writes, each variant's output and one
-scratch buffer of n + m - 1 samples per worker, because glibc gives each
-thread its own malloc arena and arrays allocated on workers grow the
-peak RSS.  No result depends on W: each variant's arithmetic is the same
-on any worker, and the SNR's sums are np.einsum's, not BLAS's.
+signal-length array a worker writes, each variant's output, because
+glibc gives each thread its own malloc arena and arrays allocated on
+workers grow the peak RSS.  It also gives each worker one scratch chunk
+of a fixed length, in which the SNR, the histogram and the skewness are
+formed a chunk at a time, and the overlap-save convolution transforms a
+few frames at a time: a worker's memory does not grow with the signal,
+so each of the W workers adds a fixed amount (about 0.5 MB at m = 256).  Full lag
+searches, rare but for periodic or short inputs, take turns on one
+framed autocorrelation and one output buffer.  No result depends on W:
+each variant's arithmetic is the same on any worker, and the SNR's sums
+are np.einsum's, not BLAS's.
 """
 from __future__ import annotations
 
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -87,6 +94,12 @@ def __getattr__(name: str):
 # lags -W .. m - 1 + W with W = 2 m.  On 10 s of speech-like input at
 # 16 kHz, the bound outside it stayed below 0.44 of the window's peak.
 _WINDOW_UNITS = 2
+# Samples of a worker's scratch chunk, in which the SNR's error, y / peak
+# and the skewness's deviations are formed piece by piece: a worker's
+# memory does not grow with the signal.  Each piece is a numpy call that
+# releases the GIL and takes it back, so much shorter chunks cost the
+# workers time waiting for it.
+_CHUNK = 16384
 
 
 def _peak_lag(cc: np.ndarray, first_lag: int) -> int:
@@ -115,7 +128,8 @@ class _LagSearch:
         self._x, self._m = x, m
         self._w = w = _WINDOW_UNITS * m
         self._full: OverlapSave | None = None  # built on first need
-        self._lock = threading.Lock()  # workers share one search
+        self._cc: np.ndarray | None = None  # the full search's output
+        self._lock = threading.Lock()  # workers share one full search
         self._near: np.ndarray | None = None  # spectrum of the window's r
         self.full_searches = 0
         n = len(x)
@@ -152,70 +166,95 @@ class _LagSearch:
         cc = np.fft.irfft(self._near * np.fft.rfft(u, self._nf), self._nf)
         return cc[:2 * self._w + self._m]
 
-    def lag(self, u: np.ndarray, buf: np.ndarray) -> int:
-        """The lag of u; a full search runs in pieces the length of the
-        scratch buffer ``buf``."""
+    def lag(self, u: np.ndarray) -> int:
+        """The lag of u.  Full searches take turns, so however many workers
+        need one, the search holds one framed r and one output."""
         if self._near is not None:
             cc = self.window_cc(u)
             lag = _peak_lag(cc, -self._w)
             if cc[lag + self._w] ** 2 > np.dot(u, u) * self._outside2:
                 return lag
+        n = len(self._x)
         with self._lock:
             self.full_searches += 1
             if self._full is None:
                 self._full = OverlapSave(autocorrelation(self._x), self._m)
-        # A worker's buffer of n + m - 1 samples takes cc's 2n + k - 2 in
-        # two pieces; a later piece wins only with a strictly larger |cc|.
-        n_cc = 2 * len(self._x) + len(u) - 2
-        best, peak = 0, -1.0
-        for start in range(0, n_cc, len(buf)):
-            piece = self._full.convolve(u, buf[:min(len(buf), n_cc - start)], start)
-            i = _peak_lag(piece, 0)
-            if piece[i] > peak:
-                best, peak = start + i, piece[i]
-        return best + 1 - len(self._x)
+                self._cc = np.empty(2 * n + self._m - 2)
+            cc = self._full.convolve(u, self._cc[:2 * n + len(u) - 2])
+            return _peak_lag(cc, 1 - n)
+
+
+def _chunks(n: int, size: int) -> list[tuple[int, int]]:
+    """The bounds a, b of samples 0 .. n - 1 in runs of ``size``."""
+    return [(a, min(a + size, n)) for a in range(0, n, size)]
 
 
 def _aligned_snr_db(x: np.ndarray, y: np.ndarray, lag: int, xx: float,
                     buf: np.ndarray) -> float:
     """SNR after scalar-gain alignment of y, shifted by ``lag``, to x, with
-    xx = x . x; ``buf`` is scratch of at least len(x) samples.  Its sums
-    are np.einsum's, which unlike np.dot's do not depend on BLAS threads."""
-    err = buf[:len(x)]
-    if 0 <= lag <= len(y) - len(x):
-        ya = y[lag:lag + len(x)]  # a view: the usual case copies nothing
-    else:
-        # ya[i] = y[i + lag] where that sample exists, else 0.
-        ya = err
+    xx = x . x.  The error, and the aligned y where x runs past y, are
+    formed a chunk of len(buf) samples at a time in ``buf``.  The sums are
+    np.einsum's, which unlike np.dot's do not depend on BLAS threads."""
+    def aligned(a: int, b: int) -> np.ndarray:
+        """ya[a:b], where ya[i] = y[i + lag] if that sample exists, else 0."""
+        lo, hi = max(a, -lag), min(b, len(y) - lag)
+        if (lo, hi) == (a, b):
+            return y[a + lag:b + lag]  # a view: the usual case copies nothing
+        ya = buf[:b - a]
         ya.fill(0.0)
-        lo = max(0, -lag)
-        seg = y[lo + lag:lag + len(x)]
-        ya[lo:lo + len(seg)] = seg
-    denom = float(np.einsum("i,i->", ya, ya))
-    gain = float(np.einsum("i,i->", x, ya)) / denom if denom > 0 else 1.0
-    np.subtract(x, np.multiply(ya, gain, out=err), out=err)
-    pe = float(np.einsum("i,i->", err, err))
+        ya[lo - a:max(lo, hi) - a] = y[lo + lag:max(lo, hi) + lag]
+        return ya
+
+    chunks = _chunks(len(x), len(buf))
+    inside = 0 <= lag <= len(y) - len(x)  # then ya is one view of y
+    yy = xy = pe = 0.0
+    for a, b in [(0, len(x))] if inside else chunks:
+        ya = aligned(a, b)
+        yy += np.einsum("i,i->", ya, ya)
+        xy += np.einsum("i,i->", x[a:b], ya)
+    gain = float(xy) / float(yy) if yy > 0 else 1.0
+    for a, b in chunks:
+        err = np.multiply(aligned(a, b), gain, out=buf[:b - a])
+        np.subtract(x[a:b], err, out=err)
+        pe += np.einsum("i,i->", err, err)
     if pe <= xx * 10.0 ** (-SNR_CAP_DB / 10.0):
         return SNR_CAP_DB
     return 10.0 * np.log10(xx / pe)
 
 
-def _histogram(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    counts, _ = np.histogram(x, bins=edges)
-    return counts / max(1, len(x))
+def _histogram(x: np.ndarray, peak: float, edges: np.ndarray,
+               buf: np.ndarray) -> np.ndarray:
+    """The share of x / peak in each bin of ``edges``, counted as
+    np.histogram counts it: bin i holds edges[i] <= v < edges[i + 1], and
+    the last bin its right edge too.  Each chunk of len(buf) samples is
+    sorted in ``buf`` and counts the samples below each edge, below the
+    last edge's next float for the last."""
+    top = edges.copy()
+    top[-1] = np.nextafter(top[-1], np.inf)
+    below = np.zeros(len(edges), np.intp)
+    for a, b in _chunks(len(x), len(buf)):
+        v = np.divide(x[a:b], peak, out=buf[:b - a])
+        v.sort()
+        below += np.searchsorted(v, top)
+    return np.diff(below) / max(1, len(x))
 
 
 def _skewness(x: np.ndarray, buf: np.ndarray) -> float:
     """Sample skewness m3 / m2**1.5 from the central moments, 0.0 for a
     signal without variance (a constant or a single sample): scipy's
     test m2 <= (eps * mean)**2, under which scipy.stats.skew gives NaN.
-    ``buf`` is scratch of at least len(x) samples."""
+    The deviations are formed a chunk of len(buf) samples at a time in
+    ``buf``."""
     mean = x.mean()
-    d = np.subtract(x, mean, out=buf[:len(x)])
-    m2 = np.einsum("i,i->", d, d) / len(x)
+    s2 = s3 = 0.0
+    for a, b in _chunks(len(x), len(buf)):
+        d = np.subtract(x[a:b], mean, out=buf[:b - a])
+        s2 += np.einsum("i,i->", d, d)
+        s3 += np.einsum("i,i,i->", d, d, d)
+    m2 = s2 / len(x)
     if m2 <= (np.finfo(float).eps * mean) ** 2:
         return 0.0
-    return float(np.einsum("i,i,i->", d, d, d) / len(x) / m2 ** 1.5)
+    return float(s3 / len(x) / m2 ** 1.5)
 
 
 def _worker_count(n_variants: int) -> int:
@@ -229,23 +268,15 @@ def _worker_count(n_variants: int) -> int:
 
 def _fan_out(work, n_workers: int) -> None:
     """work(0) in the calling thread and work(1) .. work(W - 1) on threads
-    of their own; once all have ended, the first failure is raised."""
-    failures = []
-
-    def guarded(first: int) -> None:
-        try:
-            work(first)
-        except BaseException as exc:  # re-raised in the calling thread
-            failures.append(exc)
-
-    threads = [threading.Thread(target=guarded, args=(w,)) for w in range(1, n_workers)]
-    for t in threads:
-        t.start()
-    guarded(0)
-    for t in threads:
-        t.join()
-    if failures:
-        raise failures[0]
+    of their own; a failure on any of them is raised here."""
+    if n_workers == 1:
+        work(0)
+        return
+    with ThreadPoolExecutor(n_workers - 1) as pool:
+        others = [pool.submit(work, w) for w in range(1, n_workers)]
+        work(0)
+    for f in others:
+        f.result()
 
 
 def _unit_or_identity(p: DesignParams, t_erd_s: float) -> np.ndarray | None:
@@ -310,19 +341,17 @@ def augment(
     px_db = bands.to_db(px[keep])
     xx = float(np.einsum("i,i->", x, x))
 
-    # Every signal-length array a worker writes is allocated here, by the
-    # calling thread (see the module docstring).  The scratch buffers, freed
-    # on return, come before the outputs, which outlive the call: in the
-    # other order, repeated calls fragmented the heap, and the augment
-    # benchmark's peak RSS read 160-168 MB instead of 154-157 MB.
+    # Every array a worker writes is allocated here, by the calling thread
+    # (see the module docstring): the outputs and one scratch chunk per
+    # worker.
     n_workers = _worker_count(n_variants)
-    scratch = [np.empty(len(x) + m - 1) for _ in range(n_workers)]
+    scratch = np.empty((n_workers, _CHUNK))
     variants = [x.copy() if u is None else np.empty(len(x) + len(u) - 1) for u in units]
     snrs = np.empty(n_variants)
     hists = np.empty((n_variants + 1, HISTOGRAM_BINS))
     skews = np.empty(n_variants + 1)
     deltas = np.empty((n_variants, len(px_db)))
-    hists[0] = _histogram(np.divide(x, peak, out=scratch[0][:len(x)]), edges)
+    hists[0] = _histogram(x, peak, edges, scratch[0])
     skews[0] = _skewness(x, scratch[0])
 
     def work(first: int) -> None:
@@ -335,11 +364,11 @@ def augment(
                 py = px
             else:
                 framed_x.convolve(u, y)
-                snrs[i] = _aligned_snr_db(x, y, lags.lag(u, buf), xx, buf)
+                snrs[i] = _aligned_snr_db(x, y, lags.lag(u), xx, buf)
                 c = autocorrelation(u)[len(u) - 1:]
                 c[1:] *= 2.0
                 py = lag_sums[:, :len(u)] @ c
-            hists[i + 1] = _histogram(np.divide(y, peak, out=buf[:len(y)]), edges)
+            hists[i + 1] = _histogram(y, peak, edges, buf)
             skews[i + 1] = _skewness(y, buf)
             deltas[i] = bands.to_db(py[keep]) - px_db
 

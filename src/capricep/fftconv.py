@@ -8,12 +8,14 @@ and overlap by m - 1, so after the m - 1 wrapped samples are dropped
 each frame yields a hop of L - m + 1 output samples; L depends only on
 m, which keeps every FFT short however long x is.  When the whole
 convolution fits in L points it is one frame of next_fast_len(len(x) +
-m - 1) points with nothing dropped.  ``convolve`` transforms a fixed
-number of frames at a time through two small buffers, and writes any run
-of output samples into the caller's ``out``; each frame's irfft row is
-bit-identical to the batched one.  It is the one convolution path of the
-simulator, the analyzer and augment, which preallocates ``out`` on the
-calling thread and so runs its workers without signal-length temporaries.
+m - 1) points with nothing dropped.  The framing and ``convolve`` both
+transform a fixed number of frames at a time through small buffers, so
+neither holds a padded copy of x or the samples of every frame; each
+frame's rfft and irfft row is bit-identical to the batched one.
+``convolve`` writes into the caller's ``out`` when given one.  It is the
+one convolution path of the simulator, the analyzer and augment, which
+preallocates ``out`` on the calling thread so that its workers allocate
+no signal-length array.
 
 This module holds both FFT length rules: ``next_pow2`` for the
 overlap-save frames and the power-of-two grids of the other modules,
@@ -23,14 +25,14 @@ and ``next_fast_len`` for a single-frame transform, which
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 # Shortest overlap-save frame: below this, per-frame overhead outweighs
 # the shorter transforms.
 _MIN_FRAME = 4096
-# Frames ``convolve`` transforms at a time, through two buffers of this
-# many spectra and frames: its working memory does not grow with n.
-_CHUNK_FRAMES = 8
+# Frames transformed at a time, through buffers of this many frames and
+# spectra: the working memory of the framing and of ``convolve`` does not
+# grow with n.
+_CHUNK_FRAMES = 4
 
 
 def next_pow2(n: int) -> int:
@@ -85,37 +87,45 @@ class OverlapSave:
         self.frame = frame
         hop = frame - self.skip
         n_frames = -(-n_out // hop)
-        padded = np.zeros((n_frames - 1) * hop + frame)
-        padded[self.skip:self.skip + self.n] = x
-        self._spec = np.fft.rfft(sliding_window_view(padded, frame)[::hop], axis=-1)
+        # Frame f holds x[f hop - skip .. f hop - skip + frame - 1], with
+        # zeros where x has no sample.
+        self._spec = np.empty((n_frames, frame // 2 + 1), complex)
+        rows = min(_CHUNK_FRAMES, n_frames)
+        frames = np.empty((rows, frame))
+        for f in range(0, n_frames, rows):
+            r = min(rows, n_frames - f)
+            for j, row in enumerate(frames[:r]):
+                at = (f + j) * hop - self.skip
+                lo, hi = max(at, 0), min(at + frame, self.n)
+                row[:lo - at] = 0.0
+                row[lo - at:hi - at] = x[lo:hi]
+                row[hi - at:] = 0.0
+            np.fft.rfft(frames[:r], axis=-1, out=self._spec[f:f + r])
 
-    def convolve(self, kernel: np.ndarray, out: np.ndarray | None = None,
-                 start: int = 0) -> np.ndarray:
-        """Samples start .. start + len(out) - 1 of the full linear
-        convolution of the signal with ``kernel``, written into ``out``;
-        by default ``out`` is new and runs to the convolution's end."""
+    def convolve(self, kernel: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The full linear convolution of the signal with ``kernel``, its
+        n + len(kernel) - 1 samples written into ``out`` (new by default)."""
         k = len(kernel)
         if not 1 <= k <= self.m:
             raise ValueError(f"kernel length {k} outside 1 .. {self.m}")
         n_out = self.n + k - 1
         if out is None:
-            out = np.empty(n_out - start)
-        end = start + len(out)
-        if not 0 <= start <= end <= n_out:
-            raise ValueError(f"samples {start} .. {end - 1} outside 0 .. {n_out - 1}")
+            out = np.empty(n_out)
+        elif len(out) != n_out:
+            raise ValueError(f"out holds {len(out)} samples, not {n_out}")
         hop = self.frame - self.skip
         spec = np.fft.rfft(kernel, self.frame)
-        first, stop = start // hop, -(-end // hop)
-        rows = max(1, min(_CHUNK_FRAMES, stop - first))
+        n_frames = -(-n_out // hop)  # a kernel shorter than m may need fewer
+        rows = min(_CHUNK_FRAMES, n_frames)
         prod = np.empty((rows, len(spec)), complex)
         frames = np.empty((rows, self.frame))
-        for f in range(first, stop, rows):
-            r = min(rows, stop - f)
+        for f in range(0, n_frames, rows):
+            r = min(rows, n_frames - f)
             np.multiply(self._spec[f:f + r], spec, out=prod[:r])
             np.fft.irfft(prod[:r], self.frame, axis=-1, out=frames[:r])
             # Frame f keeps its samples from ``skip`` on: output f*hop on.
-            for j in range(r):
+            for j, row in enumerate(frames[:r]):
                 at = (f + j) * hop
-                lo, hi = max(at, start), min(at + hop, end)
-                out[lo - start:hi - start] = frames[j, self.skip + lo - at:self.skip + hi - at]
+                stop = min(at + hop, n_out)
+                out[at:stop] = row[self.skip:self.skip + stop - at]
         return out

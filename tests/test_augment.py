@@ -17,6 +17,7 @@ from scipy.stats import skew
 from capricep.augment import (
     HISTOGRAM_BINS,
     SNR_CAP_DB,
+    _CHUNK,
     _aligned_snr_db,
     _histogram,
     _LagSearch,
@@ -81,26 +82,22 @@ def _reference_augment(x, fs, base, n_variants, seed, t_erd_s):
     peak = float(np.max(np.abs(x))) or 1.0
     edges = np.linspace(-1.0, 1.0, HISTOGRAM_BINS + 1)
     variants, snrs, deltas = [], [], []
-    hists, skews = [_histogram(x / peak, edges)], [_reference_skewness(x)]
+    hists, skews = [np.histogram(x / peak, edges)[0] / len(x)], [_reference_skewness(x)]
     for p in derive_unit_designs(replace(base, seed=seed), n_variants):
         y = x.copy() if identity else fftconvolve(x, generate_unit(p, t_erd_s).samples)
         variants.append(y)
         snrs.append(_reference_aligned_snr_db(x, y))
-        hists.append(_histogram(y / peak, edges))
+        hists.append(np.histogram(y / peak, edges)[0] / len(y))
         skews.append(_reference_skewness(y))
         xi = np.concatenate([x, np.zeros(len(y) - len(x))])
         deltas.append(_reference_band_level_deviation_db(xi, y, fs))
     return variants, np.array(snrs), np.stack(hists), np.stack(deltas), np.array(skews)
 
 
-def _scratch(x, u):
-    """A worker's scratch buffer for units of at most len(u) samples."""
-    return np.empty(len(x) + len(u) - 1)
-
-
 def _snr_at(x, y, lag):
-    """augment's aligned SNR of y at ``lag``, with x . x summed as it sums it."""
-    return _aligned_snr_db(x, y, lag, float(np.einsum("i,i->", x, x)), np.empty(len(x)))
+    """augment's aligned SNR of y at ``lag``, with x . x summed and the
+    error formed as it sums and forms them."""
+    return _aligned_snr_db(x, y, lag, float(np.einsum("i,i->", x, x)), np.empty(_CHUNK))
 
 
 def _asymmetric_signal(n=16000):
@@ -286,6 +283,39 @@ def test_aligned_snr_at_each_placement_of_x_against_y(lag):
     assert _snr_at(x, y, lag) == 10.0 * np.log10(dot(x, x) / dot(err, err))
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 4])
+@pytest.mark.parametrize("lag", [-9, -1, 0, 6, 7, 15])
+def test_aligned_snr_in_chunks_equals_it_in_one_piece(lag, chunk):
+    """Formed a few samples at a time, at each placement, the SNR is the
+    one formed over all of x, to rounding."""
+    rng = np.random.default_rng(11)
+    x, y = rng.standard_normal(10), rng.standard_normal(16)
+    xx = float(np.einsum("i,i->", x, x))
+    whole = _aligned_snr_db(x, y, lag, xx, np.empty(len(x)))
+    assert _aligned_snr_db(x, y, lag, xx, np.empty(chunk)) == pytest.approx(whole, rel=1e-13)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+def test_histogram_counts_as_np_histogram_does(chunk):
+    """Samples on every edge, one step past either end, outside and in
+    between, counted in chunks of any length: np.histogram's shares."""
+    edges = np.linspace(-1.0, 1.0, HISTOGRAM_BINS + 1)
+    rng = np.random.default_rng(chunk)
+    for peak in (1.0, 0.7, 3.0):
+        past = np.nextafter(peak, 2.0 * peak)
+        x = np.concatenate([edges * peak, [past, -past, 2.0 * peak, -2.0 * peak],
+                            0.6 * peak * rng.standard_normal(5000)])
+        x = rng.permutation(x)
+        want = np.histogram(x / peak, edges)[0] / len(x)
+        assert _histogram(x, peak, edges, np.empty(chunk)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 999, 1000])
+def test_skewness_in_chunks_equals_scipys(chunk):
+    x = _noise_with_random_pulses(1000, seed=7)
+    assert _skewness(x, np.empty(chunk)) == pytest.approx(float(skew(x)), rel=1e-12)
+
+
 def test_aligned_snr_breaks_a_tie_toward_the_negative_lag():
     """Equal |cc| at lags -2 and +2: the first in lag order wins, as an
     argmax over -(len(x) - 1) .. len(y) - 1 would pick it.  Both lag
@@ -346,7 +376,7 @@ def _check_lags_and_snrs(x, seed, n_variants=4):
     variants, rep = augment(x, FS, base_params=base, n_variants=n_variants, seed=seed)
     for u, y, snr in zip(units, variants, rep.snr_db):
         lag = _full_search_lag(x, m, u)
-        assert search.lag(u, _scratch(x, u)) == lag
+        assert search.lag(u) == lag
         assert snr == _snr_at(x, y, lag)
     return search.full_searches
 
@@ -380,27 +410,7 @@ def test_window_correlation_equals_the_full_one_at_every_window_lag(n):
         cc = full.convolve(u[:k])[n - 1 - 512:n - 1 + 768]
         np.testing.assert_allclose(search.window_cc(u[:k]), cc, rtol=0.0,
                                    atol=1e-12 * np.max(np.abs(cc)))
-        assert search.lag(u[:k], _scratch(x, u)) == _full_search_lag(x, len(u), u[:k])
-
-
-def test_a_full_search_in_pieces_keeps_the_first_maximum():
-    """Units 1 + z^-d on integer inputs tie |cc| at several lags; searched
-    in pieces of any length, the lag is still that of the first maximum."""
-    rng = np.random.default_rng(0)
-    ties = 0
-    for _ in range(40):
-        n, d = int(rng.integers(20, 200)), int(rng.integers(1, 8))
-        x = rng.integers(-2, 3, n).astype(float)
-        x[0] = 1.0
-        u = np.zeros(d + 1)
-        u[[0, d]] = 1.0
-        cc = np.abs(OverlapSave(autocorrelation(x), n).convolve(u))
-        ties += np.count_nonzero(cc == cc.max()) > 1
-        for piece in (3, 17, 2 * n - 1):
-            search = _LagSearch(x, n)  # m = n: no window, every search is full
-            assert search.lag(u, np.empty(piece)) == _full_search_lag(x, n, u)
-            assert search.full_searches == 1
-    assert ties >= 10
+        assert search.lag(u[:k]) == _full_search_lag(x, len(u), u[:k])
 
 
 @pytest.mark.parametrize("n", [1, 100, 5 * 256])
@@ -412,8 +422,8 @@ def test_inputs_without_lags_outside_the_window_search_every_lag(n):
                       0.002).samples
     assert len(u) == 256
     search = _LagSearch(x, len(u))
-    assert search.lag(u, _scratch(x, u)) == _full_search_lag(x, len(u), u)
-    assert search.lag(u[:100], _scratch(x, u)) == _full_search_lag(x, len(u), u[:100])
+    assert search.lag(u) == _full_search_lag(x, len(u), u)
+    assert search.lag(u[:100]) == _full_search_lag(x, len(u), u[:100])
     assert search.full_searches == 2
 
 
@@ -423,16 +433,27 @@ def test_inputs_without_lags_outside_the_window_search_every_lag(n):
 _FULL_SEARCH_PEAK_BYTES = 30_409_519
 
 
-def test_certified_search_uses_no_more_memory_than_the_full_search():
+def _traced_peak_of_16_variants():
     x = _noise_with_random_pulses(160_000, seed=0)
     augment(x[:8000], FS, n_variants=1, seed=1)  # leave first-call caches out
     tracemalloc.start()
     try:
         augment(x, FS, n_variants=16, seed=1)
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= _FULL_SEARCH_PEAK_BYTES
+
+
+def test_certified_search_uses_no_more_memory_than_the_full_search():
+    assert _traced_peak_of_16_variants() <= _FULL_SEARCH_PEAK_BYTES
+
+
+def test_one_worker_per_variant_stays_within_the_full_searchs_memory(monkeypatch):
+    """A worker holds a few chunks, not a signal: on 16 CPUs, 16 workers
+    still trace no more than the full search did on one thread."""
+    widths = _on_cpus(monkeypatch, 16)
+    assert _traced_peak_of_16_variants() <= _FULL_SEARCH_PEAK_BYTES
+    assert widths == [1, 16]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
