@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -272,6 +271,8 @@ def _fan_out(work, n_workers: int) -> None:
     if n_workers == 1:
         work(0)
         return
+    # concurrent.futures imports logging, about 6 ms: only a fan-out pays it.
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(n_workers - 1) as pool:
         others = [pool.submit(work, w) for w in range(1, n_workers)]
         work(0)

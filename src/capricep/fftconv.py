@@ -124,8 +124,10 @@ class OverlapSave:
             np.multiply(self._spec[f:f + r], spec, out=prod[:r])
             np.fft.irfft(prod[:r], self.frame, axis=-1, out=frames[:r])
             # Frame f keeps its samples from ``skip`` on: output f*hop on.
-            for j, row in enumerate(frames[:r]):
-                at = (f + j) * hop
-                stop = min(at + hop, n_out)
-                out[at:stop] = row[self.skip:self.skip + stop - at]
+            # Only the last frame of all may keep less than a hop.
+            at, stop = f * hop, min((f + r) * hop, n_out)
+            whole, rest = divmod(stop - at, hop)
+            out[at:stop - rest].reshape(whole, hop)[:] = frames[:whole, self.skip:]
+            if rest:
+                out[stop - rest:stop] = frames[whole, self.skip:self.skip + rest]
         return out

@@ -556,9 +556,11 @@ def test_every_output_is_bit_identical_on_1_2_and_5_cpus(monkeypatch, case):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
-def test_every_variant_of_a_short_input_searches_fully_on_two_workers(monkeypatch):
+def test_workers_take_turns_on_the_full_search_of_a_short_input(monkeypatch):
     """An input under 5 m = 1280 samples leaves no lag outside the window:
-    both workers need the full search, which is framed once per call."""
+    every variant needs the full search, which is framed once per call,
+    also with one worker per variant on 2 cores and a thread switch every
+    microsecond."""
     x = _noise_with_random_pulses(1000, seed=4)
     framed, searches = [], []
 
@@ -574,17 +576,23 @@ def test_every_variant_of_a_short_input_searches_fully_on_two_workers(monkeypatc
     monkeypatch.setattr(_augment_module, "OverlapSave", CountedOverlapSave)
     monkeypatch.setattr(_augment_module, "_LagSearch", KeptLagSearch)
     runs = []
-    for n_cpus in (1, 2):
-        framed.clear()
-        widths = _on_cpus(monkeypatch, n_cpus)
-        runs.append(augment(x, FS, n_variants=6, seed=2))
-        assert widths == [n_cpus]
-        assert framed == [1000, 1999]  # the input, then its autocorrelation
-        assert searches[-1].full_searches == 6
-    (variants, report), (variants2, report2) = runs
-    assert all(v.tobytes() == w.tobytes() for v, w in zip(variants, variants2))
-    for name in _REPORT_FIELDS:
-        assert getattr(report, name).tobytes() == getattr(report2, name).tobytes(), name
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n_cpus in (1, 2, 6):
+            framed.clear()
+            widths = _on_cpus(monkeypatch, n_cpus)
+            runs.append(augment(x, FS, n_variants=6, seed=2))
+            assert widths == [n_cpus]
+            assert framed == [1000, 1999]  # the input, then its autocorrelation
+            assert searches[-1].full_searches == 6
+    finally:
+        sys.setswitchinterval(interval)
+    (variants, report), *others = runs
+    for other_variants, other_report in others:
+        assert all(v.tobytes() == w.tobytes() for v, w in zip(variants, other_variants))
+        for name in _REPORT_FIELDS:
+            assert getattr(report, name).tobytes() == getattr(other_report, name).tobytes(), name
 
 
 def test_a_failure_on_a_worker_thread_is_raised_by_augment(monkeypatch):
