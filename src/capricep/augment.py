@@ -39,13 +39,13 @@ signal-length array a worker writes, each variant's output, because
 glibc gives each thread its own malloc arena and arrays allocated on
 workers grow the peak RSS.  It also gives each worker one scratch chunk
 of a fixed length, in which the SNR, the histogram and the skewness are
-formed a chunk at a time, and the overlap-save convolution transforms a
-few frames at a time: a worker's memory does not grow with the signal,
-so each of the W workers adds a fixed amount (about 0.5 MB at m = 256).  Full lag
-searches, rare but for periodic or short inputs, take turns on one
-framed autocorrelation and one output buffer.  No result depends on W:
-each variant's arithmetic is the same on any worker, and the SNR's sums
-are np.einsum's, not BLAS's.
+formed a chunk at a time, and the overlap-save convolution transforms
+two frames at a time: a worker's memory does not grow with the signal,
+so each of the W workers adds a fixed amount, about 0.4 MB at m = 256.
+Full lag searches, rare but for periodic or short inputs, take turns on
+one framed autocorrelation and one output buffer.  No result depends on
+W: each variant's arithmetic is the same on any worker, and the SNR's
+sums are np.einsum's, not BLAS's.
 """
 from __future__ import annotations
 
