@@ -39,9 +39,10 @@ signal-length array a worker writes, each variant's output, because
 glibc gives each thread its own malloc arena and arrays allocated on
 workers grow the peak RSS.  It also gives each worker one scratch chunk
 of a fixed length, in which the SNR, the histogram and the skewness are
-formed a chunk at a time, and the overlap-save convolution transforms
-two frames at a time: a worker's memory does not grow with the signal,
-so each of the W workers adds a fixed amount, about 0.4 MB at m = 256.
+formed a chunk at a time, and which the worker's overlap-save
+convolutions transform their frames through, four 4096-point frames at
+a time: a worker's memory does not grow with the signal, so each of the
+W workers adds a fixed amount, about 0.4 MB at m = 256.
 Full lag searches, rare but for periodic or short inputs, take turns on
 one framed autocorrelation and one output buffer.  No result depends on
 W: each variant's arithmetic is the same on any worker, and the SNR's
@@ -93,9 +94,10 @@ def __getattr__(name: str):
 # lags -W .. m - 1 + W with W = 2 m.  On 10 s of speech-like input at
 # 16 kHz, the bound outside it stayed below 0.44 of the window's peak.
 _WINDOW_UNITS = 2
-# Samples of a worker's scratch chunk, in which the SNR's error, y / peak
-# and the skewness's deviations are formed piece by piece: a worker's
-# memory does not grow with the signal.  Each piece is a numpy call that
+# Samples of a worker's scratch chunk, through which its convolutions
+# transform their frames and in which the SNR's error, y / peak and the
+# skewness's deviations are formed piece by piece: a worker's memory does
+# not grow with the signal.  Each piece is a numpy call that
 # releases the GIL and takes it back, so much shorter chunks cost the
 # workers time waiting for it.
 _CHUNK = 16384
@@ -364,7 +366,7 @@ def augment(
                 snrs[i] = SNR_CAP_DB
                 py = px
             else:
-                framed_x.convolve(u, y)
+                framed_x.convolve(u, y, buf)
                 snrs[i] = _aligned_snr_db(x, y, lags.lag(u), xx, buf)
                 c = autocorrelation(u)[len(u) - 1:]
                 c[1:] *= 2.0

@@ -9,13 +9,15 @@ each frame yields a hop of L - m + 1 output samples; L depends only on
 m, which keeps every FFT short however long x is.  When the whole
 convolution fits in L points it is one frame of next_fast_len(len(x) +
 m - 1) points with nothing dropped.  The framing and ``convolve`` both
-transform a fixed number of frames at a time through small buffers, so
+transform a bounded number of frames at a time through small buffers, so
 neither holds a padded copy of x or the samples of every frame; each
-frame's rfft and irfft row is bit-identical to the batched one.
-``convolve`` writes into the caller's ``out`` when given one.  It is the
-one convolution path of the simulator, the analyzer and augment, which
-preallocates ``out`` on the calling thread so that its workers allocate
-no signal-length array.
+frame's rfft and irfft row is bit-identical to the batched one, so the
+output does not depend on how many frames go at a time.  ``convolve``
+writes into the caller's ``out``, and transforms its frames through the
+caller's ``work`` buffer, when given them.  It is the one convolution
+path of the simulator, the analyzer and augment, which preallocates
+both on the calling thread so that its workers allocate no
+signal-length array.
 
 This module holds both FFT length rules: ``next_pow2`` for the
 overlap-save frames and the power-of-two grids of the other modules,
@@ -31,8 +33,7 @@ import numpy as np
 _MIN_FRAME = 4096
 # Frames transformed at a time, through buffers of this many frames and
 # spectra: the working memory of the framing and of ``convolve`` does not
-# grow with n.  With two, a convolve on 4096-point frames traces 0.23 MB,
-# so that 16 augment workers starting at once stay small.
+# grow with n.  With two, a convolve on 4096-point frames traces 0.23 MB.
 _CHUNK_FRAMES = 2
 
 
@@ -103,9 +104,13 @@ class OverlapSave:
                 row[hi - at:] = 0.0
             np.fft.rfft(frames[:r], axis=-1, out=self._spec[f:f + r])
 
-    def convolve(self, kernel: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def convolve(self, kernel: np.ndarray, out: np.ndarray | None = None,
+                 work: np.ndarray | None = None) -> np.ndarray:
         """The full linear convolution of the signal with ``kernel``, its
-        n + len(kernel) - 1 samples written into ``out`` (new by default)."""
+        n + len(kernel) - 1 samples written into ``out`` (new by default).
+        The frames go through ``work``, as many at a time as it holds
+        whole, or through a new buffer of _CHUNK_FRAMES frames when it
+        holds none."""
         k = len(kernel)
         if not 1 <= k <= self.m:
             raise ValueError(f"kernel length {k} outside 1 .. {self.m}")
@@ -117,9 +122,11 @@ class OverlapSave:
         hop = self.frame - self.skip
         spec = np.fft.rfft(kernel, self.frame)
         n_frames = -(-n_out // hop)  # a kernel shorter than m may need fewer
-        rows = min(_CHUNK_FRAMES, n_frames)
+        if work is None or len(work) < self.frame:
+            work = np.empty(min(_CHUNK_FRAMES, n_frames) * self.frame)
+        rows = min(len(work) // self.frame, n_frames)
+        frames = work[:rows * self.frame].reshape(rows, self.frame)
         prod = np.empty((rows, len(spec)), complex)
-        frames = np.empty((rows, self.frame))
         for f in range(0, n_frames, rows):
             r = min(rows, n_frames - f)
             np.multiply(self._spec[f:f + r], spec, out=prod[:r])

@@ -49,8 +49,10 @@ def test_frame_geometry():
 def test_chunked_frames_are_bit_identical_to_one_batch(n_frames):
     """Frame counts below, at and past a multiple of the chunk, and the
     single-frame grid (n_frames 1): the framed spectrum, and each
-    convolution into a new array or into ``out``, equal the rfft and
-    irfft of every frame in one batch, bit for bit."""
+    convolution into a new array or into ``out``, and through ``work``
+    buffers too short for a frame, of 3 frames and a part, and of 16384
+    samples, equal the rfft and irfft of every frame in one batch, bit
+    for bit."""
     n = 100 if n_frames == 1 else n_frames * HOP_256 - 255
     rng = np.random.default_rng(n_frames)
     x = rng.standard_normal(n)
@@ -70,6 +72,8 @@ def test_chunked_frames_are_bit_identical_to_one_batch(n_frames):
         assert framed.convolve(kernel, out) is out
         assert out.tobytes() == batch.tobytes()
         assert framed.convolve(kernel).tobytes() == batch.tobytes()
+        for work in (np.empty(frame - 1), np.empty(3 * frame + 5), np.empty(16384)):
+            assert framed.convolve(kernel, work=work).tobytes() == batch.tobytes()
         ref = fftconvolve(x, kernel)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
