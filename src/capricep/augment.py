@@ -42,7 +42,7 @@ of a fixed length, in which the SNR, the histogram and the skewness are
 formed a chunk at a time, and which the worker's overlap-save
 convolutions transform their frames through, four 4096-point frames at
 a time: a worker's memory does not grow with the signal, so each of the
-W workers adds a fixed amount, about 0.4 MB at m = 256.
+W workers adds a fixed amount, about 0.35 MB at m = 256.
 Full lag searches, rare but for periodic or short inputs, take turns on
 one framed autocorrelation and one output buffer.  No result depends on
 W: each variant's arithmetic is the same on any worker, and the SNR's
