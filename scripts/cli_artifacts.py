@@ -9,13 +9,15 @@ fd 250 Hz and 16 kHz / fd 100 Hz, and ``augment`` also on a 1 s pure
 tone (``tone.wav``).  Each run leaves its files in its own
 directory, and ``runs.txt`` records its arguments, exit code, stdout and
 stderr with the OUT and SRC paths masked, so two trees compare with
-``diff -r OUT1 OUT2``.
+``diff -r OUT1 OUT2``.  ``runs.txt`` also records ``capricep --help`` and
+each subcommand's ``--help``, formatted 80 columns wide.
 """
 from __future__ import annotations
 
 import io
 import json
 import math
+import os
 import sys
 import traceback
 import wave
@@ -23,6 +25,8 @@ from array import array
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+SUBCOMMANDS = ("design", "optimize", "xcorr-stats", "make-signal", "simulate", "analyze",
+               "augment")
 SEEDS = (7, 12345)
 RATES = ((8000, 250), (16000, 100))
 SYSTEM = {"lti_ir": [1.0, 0.0, -0.3, 0.1], "nl_coeffs": [1.0, 0.0, 0.05],
@@ -46,6 +50,8 @@ def _cases(out: Path, seed: int, fs: int, fd: int):
     """(name, argv) in run order; later runs read earlier runs' files."""
     common = ["--fs", str(fs), "--fd", str(fd), "--seed", str(seed)]
     cases = [
+        ("help", ["--help"]),
+        *((f"help_{c}", [c, "--help"]) for c in SUBCOMMANDS),
         ("design", ["design", *common]),
         ("design_composite", ["design", *common, "--composite", "--sections"]),
         # the short companion cascade fits only at higher rates
@@ -105,6 +111,7 @@ def main(argv: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     src, root = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal's width
     sys.path.insert(0, str(src))
     import capricep.cli
 

@@ -20,9 +20,6 @@ from . import __version__
 from .augment import DEFAULT_T_ERD_S, augment
 from .analyzer import decompose
 from .design import (
-    DEFAULT_ALPHA,
-    DEFAULT_CMAG,
-    DEFAULT_TRUNCATION,
     DesignParams,
     composite_unit,
     derive_unit_designs,
@@ -40,6 +37,11 @@ from .wavio import read_wav, write_wav
 
 PEAK_TARGET = 0.5
 
+# Most points of optimize's T_ERD grid.  Each point costs a rectangle and
+# a Wasserstein distance over the ensemble's variance profile, about
+# 90 us at fs 44.1 kHz and fd 40 Hz, so the largest grid takes about 9 s.
+MAX_GRID_POINTS = 100_000
+
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fs", type=float, default=44100.0, help="sample rate (Hz)")
@@ -52,16 +54,20 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="output directory")
 
 
+# Design flags of ``design``; one not given keeps the DesignParams default.
+_DESIGN_FLAGS = ("alpha", "beta", "cmag", "truncation_factor")
+
+
 def _params(args) -> DesignParams:
-    return DesignParams(
-        fs=args.fs,
-        fd=args.fd,
-        alpha=getattr(args, "alpha", DEFAULT_ALPHA),
-        beta=getattr(args, "beta", DEFAULT_ALPHA),
-        cmag=getattr(args, "cmag", DEFAULT_CMAG),
-        seed=args.seed,
-        truncation_factor=getattr(args, "truncation", DEFAULT_TRUNCATION),
-    )
+    given = {k: v for k, v in vars(args).items() if k in _DESIGN_FLAGS}
+    return DesignParams(fs=args.fs, fd=args.fd, seed=args.seed, **given)
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _terd(args) -> float:
@@ -80,7 +86,7 @@ def cmd_design(args) -> int:
     else:
         unit = generate_unit(params, t_erd)
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    write_wav(args.out_dir / "unit.wav", unit.samples, args.fs, "float32")
+    write_wav(args.out_dir / "unit.wav", unit.samples, args.fs)
     (args.out_dir / "unit.json").write_text(
         design_to_json(unit, include_sections=args.sections))
     print(f"wrote unit.wav ({len(unit.samples)} samples) and unit.json")
@@ -100,27 +106,25 @@ def cmd_optimize(args) -> int:
     if not (np.isfinite(steps).all() and args.grid_step > 0.0):
         raise DesignError("--grid-min, --grid-max and --grid-step must be finite "
                           f"and --grid-step > 0, got {steps}")
+    stop = args.grid_max + 1e-12
+    n_points = (stop - args.grid_min) / args.grid_step
+    if n_points > MAX_GRID_POINTS:
+        raise DesignError(f"the T_ERD grid would have {n_points:.3g} points, "
+                          f"over {MAX_GRID_POINTS}")
     args.out_dir.mkdir(parents=True, exist_ok=True)
     if args.coarse_cmags:
         cmags = _float_list(args.coarse_cmags, "--coarse-cmags")
         alphas = _float_list(args.coarse_alphas, "--coarse-alphas")
         rows = coarse_search(cmags, alphas, params, args.units)
         out = args.out_dir / "coarse_search.csv"
-        with open(out, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["cmag", "alpha", "best_t_erd", "cost"])
-            for r in rows:
-                w.writerow([r["cmag"], r["alpha"], r["best_t_erd"], r["cost"]])
+        cols = ["cmag", "alpha", "best_t_erd", "cost"]
+        _write_csv(out, cols, ([r[c] for c in cols] for r in rows))
         print(f"wrote {out}; best cell cmag={rows[0]['cmag']} alpha={rows[0]['alpha']}")
         return 0
-    grid = list(np.arange(args.grid_min, args.grid_max + 1e-12, args.grid_step) / args.fd)
+    grid = list(np.arange(args.grid_min, stop, args.grid_step) / args.fd)
     best, distances = optimize_terd(params, grid, args.units)
     out = args.out_dir / "terd_search.csv"
-    with open(out, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t_erd_s", "wasserstein_s"])
-        for g, d in zip(sorted(grid), distances):
-            w.writerow([g, d])
+    _write_csv(out, ["t_erd_s", "wasserstein_s"], zip(sorted(grid), distances))
     print(f"wrote {out}; best t_erd = {best:.6f} s ({best * args.fd:.3f} / fd)")
     return 0
 
@@ -131,12 +135,9 @@ def cmd_xcorr_stats(args) -> int:
     maxima = pairwise_max_xcorr(units)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out_dir / "xcorr_stats.csv"
-    with open(out, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["unit_i", "unit_j", "max_abs_xcorr"])
-        pairs = itertools.combinations(range(len(units)), 2)
-        for (i, j), m in zip(pairs, maxima):
-            w.writerow([i, j, f"{m:.6f}"])
+    pairs = itertools.combinations(range(len(units)), 2)
+    _write_csv(out, ["unit_i", "unit_j", "max_abs_xcorr"],
+               ((i, j, f"{m:.6f}") for (i, j), m in zip(pairs, maxima)))
     print(f"wrote {out}; median max|xcorr| = {np.median(maxima):.4f}")
     return 0
 
@@ -152,9 +153,9 @@ def cmd_make_signal(args) -> int:
     scale = PEAK_TARGET / float(np.max(np.abs(signal)))
     meta = SessionMetadata(
         designs=designs, t_erd_s=t_erd, n_o=n_o, n_repeats=n_repeats,
-        scale=scale, fs=args.fs, fingerprints=[unit_fingerprint(u) for u in units])
+        scale=scale, fingerprints=[unit_fingerprint(u) for u in units])
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    write_wav(args.out_dir / "test_signal.wav", signal * scale, args.fs, "float32")
+    write_wav(args.out_dir / "test_signal.wav", signal * scale, args.fs)
     (args.out_dir / "test_signal.json").write_text(meta.to_json())
     print(f"wrote test_signal.wav ({len(signal)} samples) and test_signal.json")
     return 0
@@ -165,8 +166,8 @@ def cmd_simulate(args) -> int:
     system = VirtualSystem.from_json(Path(args.system).read_text())
     output, pre = run(system, signal, fs, pre_silence_s=args.pre_silence_s)
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    write_wav(args.out_dir / "response.wav", output, fs, "float32")
-    write_wav(args.out_dir / "silence.wav", pre, fs, "float32")
+    write_wav(args.out_dir / "response.wav", output, fs)
+    write_wav(args.out_dir / "silence.wav", pre, fs)
     print(f"wrote response.wav ({len(output)} samples) and silence.wav")
     return 0
 
@@ -186,16 +187,12 @@ def cmd_analyze(args) -> int:
     result = decompose(recorded, silence, units, meta.n_o, meta.n_repeats,
                        scale=meta.scale)
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    write_wav(args.out_dir / "lti_raw.wav", result.lti_raw, fs, "float32")
-    write_wav(args.out_dir / "nonl_ti.wav", result.nonlinear_ti, fs, "float32")
-    write_wav(args.out_dir / "rntv.wav", result.random_tv, fs, "float32")
+    write_wav(args.out_dir / "lti_raw.wav", result.lti_raw, fs)
+    write_wav(args.out_dir / "nonl_ti.wav", result.nonlinear_ti, fs)
+    write_wav(args.out_dir / "rntv.wav", result.random_tv, fs)
     out = args.out_dir / "levels.csv"
-    cols = list(result.levels_db)
-    with open(out, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(cols)
-        for i in range(len(result.levels_db["freq_hz"])):
-            w.writerow([f"{result.levels_db[c][i]:.3f}" for c in cols])
+    _write_csv(out, list(result.levels_db),
+               ([f"{v:.3f}" for v in row] for row in zip(*result.levels_db.values())))
     print(f"wrote lti_raw.wav, nonl_ti.wav, rntv.wav and {out} "
           f"(n_ini={result.n_ini}, cycles={result.omega_size})")
     return 0
@@ -208,16 +205,12 @@ def cmd_augment(args) -> int:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     peak = max(float(np.max(np.abs(v))) for v in variants)
     for i, v in enumerate(variants):
-        write_wav(args.out_dir / f"variant_{i:04d}.wav",
-                  v / max(1.0, peak), fs, "float32")
+        write_wav(args.out_dir / f"variant_{i:04d}.wav", v / max(1.0, peak), fs)
     out = args.out_dir / "augment_report.csv"
-    with open(out, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["variant_id", "snr_db", "skewness", "spectral_delta_max_db"])
-        for i in range(len(variants)):
-            delta = float(np.max(np.abs(report.spectra_delta_db[i])))
-            w.writerow([i, f"{report.snr_db[i]:.2f}",
-                        f"{report.skewness[i + 1]:.4f}", f"{delta:.3f}"])
+    _write_csv(out, ["variant_id", "snr_db", "skewness", "spectral_delta_max_db"],
+               ((i, f"{report.snr_db[i]:.2f}", f"{report.skewness[i + 1]:.4f}",
+                 f"{float(np.max(np.abs(report.spectra_delta_db[i]))):.3f}")
+                for i in range(len(variants))))
     print(f"wrote {len(variants)} variants and {out}")
     return 0
 
@@ -231,10 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design", help="generate one unit pulse WAV + sidecar")
     _add_common(p)
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--beta", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--cmag", type=float, default=DEFAULT_CMAG)
-    p.add_argument("--truncation", type=float, default=DEFAULT_TRUNCATION)
+    for flag in ("--alpha", "--beta", "--cmag"):
+        p.add_argument(flag, type=float, default=argparse.SUPPRESS)
+    p.add_argument("--truncation", dest="truncation_factor", metavar="TRUNCATION",
+                   type=float, default=argparse.SUPPRESS)
     p.add_argument("--composite", action="store_true",
                    help="prepend the short raised-cosine companion cascade")
     p.add_argument("--sections", action="store_true",

@@ -51,8 +51,12 @@ class SessionMetadata:
     n_o: int
     n_repeats: int
     scale: float
-    fs: float
     fingerprints: list[dict] | None  # one per unit; None for schema 1
+
+    @property
+    def fs(self) -> float:
+        """The sample rate of the session: that of its designs."""
+        return self.designs[0].fs
 
     def to_json(self) -> str:
         doc = {
@@ -87,13 +91,17 @@ class SessionMetadata:
                 n_o=whole_number(doc["n_o"], "n_o"),
                 n_repeats=whole_number(doc["n_repeats"], "n_repeats"),
                 scale=float(doc["scale"]),
-                fs=float(doc["fs"]),
                 fingerprints=None if version == 1 else [
                     _read_fingerprint(f) for f in doc["fingerprints"]],
             )
+            fs = float(doc["fs"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SignalError(
                 f"malformed sidecar: {type(exc).__name__}: {exc}") from exc
+        if not meta.designs or any(d.fs != fs for d in meta.designs):
+            raise SignalError(
+                f"malformed sidecar: fs {fs} Hz, but its designs have fs "
+                f"{[d.fs for d in meta.designs]}")
         if not (math.isfinite(meta.scale) and meta.scale > 0.0):
             raise SignalError(f"sidecar scale must be finite and > 0, got {meta.scale}")
         return meta

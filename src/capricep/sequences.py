@@ -22,6 +22,11 @@ B4 = np.array([
 # Maximum simultaneously overlapping unit copies before pile-up is rejected.
 _MAX_OVERLAP = 16
 
+# Most samples of a test signal, n_o * n_repeats + L - 1.  Building it
+# holds five float64 arrays of that length (three sequences and two
+# sums), so 2**24 samples, over 6 minutes at 44.1 kHz, take 640 MiB.
+MAX_SIGNAL_SAMPLES = 2 ** 24
+
 
 def default_n_o(unit: UnitCapricep) -> int:
     """Default repetition shift: one unit length (responses tile the period)."""
@@ -44,12 +49,17 @@ def _check_layout(length: int, n_o: int, n_repeats: int) -> None:
         raise SignalError(
             f"n_o={n_o} lets more than {_MAX_OVERLAP} unit copies overlap"
         )
+    samples = int(n_o) * int(n_repeats) + length - 1
+    if samples > MAX_SIGNAL_SAMPLES:
+        raise SignalError(f"n_o={n_o} and n_repeats={n_repeats} make a test signal "
+                          f"of {samples} samples, over {MAX_SIGNAL_SAMPLES}")
 
 
 def check_session(units: list[UnitCapricep], n_o: int, n_repeats: int) -> None:
     """Reject a session the B4 layout cannot carry: it needs exactly four
-    distinct units of one fs and length, n_o >= 1, at least one 8-cycle
-    and at most _MAX_OVERLAP overlapping unit copies.  Two units with
+    distinct units of one fs and length, n_o >= 1, at least one 8-cycle,
+    at most _MAX_OVERLAP overlapping unit copies and at most
+    MAX_SIGNAL_SAMPLES samples of test signal.  Two units with
     equal samples cannot be told apart in the recording."""
     if len(units) != 4:
         raise SignalError("need exactly 4 units")

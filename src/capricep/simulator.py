@@ -49,16 +49,6 @@ class VirtualSystem:
         if whole_number(self.noise_seed, "noise_seed") < 0:
             raise SignalError("noise_seed must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return {
-            "lti_ir": np.asarray(self.lti_ir, dtype=float).tolist(),
-            "nl_coeffs": list(self.nl_coeffs),
-            "noise_level_db": self.noise_level_db,
-            "drift": list(self.drift) if self.drift else None,
-            "latency_samples": self.latency_samples,
-            "noise_seed": self.noise_seed,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "VirtualSystem":
         """Parse a system description; a missing ``lti_ir`` or a field of

@@ -1,4 +1,5 @@
-"""Minimal mono WAV I/O: PCM-16, PCM-24 and 32-bit float."""
+"""Minimal mono WAV I/O: reads PCM-16, PCM-24 and 32-bit float, and
+writes 32-bit float."""
 from __future__ import annotations
 
 import struct
@@ -21,31 +22,16 @@ _SUBFORMATS = {
 }
 
 
-def write_wav(path, samples: np.ndarray, fs: float, subtype: str = "float32") -> None:
-    """Write a mono WAV file. subtype: 'pcm16', 'pcm24' or 'float32'."""
-    x = np.asarray(samples, dtype=np.float64)
+def write_wav(path, samples: np.ndarray, fs: float) -> None:
+    """Write a mono 32-bit float WAV file."""
+    payload = np.asarray(samples, dtype=np.float64).astype("<f4").tobytes()
     rate = int(round(fs))
-    if subtype == "float32":
-        fmt, bits = _FORMAT_FLOAT, 32
-        payload = x.astype("<f4").tobytes()
-    elif subtype == "pcm16":
-        fmt, bits = _FORMAT_PCM, 16
-        q = np.clip(np.round(x * 32768.0), -32768, 32767).astype("<i2")
-        payload = q.tobytes()
-    elif subtype == "pcm24":
-        fmt, bits = _FORMAT_PCM, 24
-        q = np.clip(np.round(x * 8388608.0), -8388608, 8388607).astype("<i4")
-        payload = q.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
-    else:
-        raise SignalError(f"unsupported subtype {subtype!r}")
-
-    block_align = bits // 8
-    byte_rate = rate * block_align
     with open(path, "wb") as f:
         f.write(b"RIFF")
         f.write(struct.pack("<I", 36 + len(payload)))
         f.write(b"WAVEfmt ")
-        f.write(struct.pack("<IHHIIHH", 16, fmt, 1, rate, byte_rate, block_align, bits))
+        # fmt chunk size, format, channels, rate, byte rate, block align, bits
+        f.write(struct.pack("<IHHIIHH", 16, _FORMAT_FLOAT, 1, rate, 4 * rate, 4, 32))
         f.write(b"data")
         f.write(struct.pack("<I", len(payload)))
         f.write(payload)

@@ -7,6 +7,7 @@ import os
 import runpy
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,17 @@ def test_design_writes_wav_and_sidecar(tmp_path):
     assert len(samples) == round(4 * 1.736 / 250 * 8000)
     doc = json.loads((tmp_path / "unit.json").read_text())
     assert doc["design"]["seed"] == 7
+
+
+def test_design_flags_left_out_take_the_design_params_defaults(tmp_path):
+    assert main(["design", *FAST, "--out-dir", str(tmp_path / "a")]) == 0
+    doc = json.loads((tmp_path / "a" / "unit.json").read_text())
+    assert doc["design"] == DesignParams(fs=8000.0, fd=250.0, seed=7).to_dict()
+    assert main(["design", *FAST, "--alpha", "4", "--beta", "5", "--cmag", "1.5",
+                 "--truncation", "5", "--out-dir", str(tmp_path / "b")]) == 0
+    doc = json.loads((tmp_path / "b" / "unit.json").read_text())
+    assert doc["design"] == DesignParams(fs=8000.0, fd=250.0, alpha=4.0, beta=5.0, cmag=1.5,
+                                         seed=7, truncation_factor=5.0).to_dict()
 
 
 def test_design_rerun_is_byte_identical(tmp_path):
@@ -84,7 +96,7 @@ def test_analyze_rejects_non_finite_recording(tmp_path, capsys):
     _simulated_session(tmp_path)
     x, fs = read_wav(tmp_path / "response.wav")
     x[len(x) // 2] = np.nan
-    write_wav(tmp_path / "nan.wav", x, fs, "float32")
+    write_wav(tmp_path / "nan.wav", x, fs)
     capsys.readouterr()
     assert _analyze(tmp_path, recording="nan.wav") == 1
     assert "NaN or inf" in capsys.readouterr().err
@@ -130,9 +142,11 @@ def test_analyze_accepts_whole_numbers_written_as_floats(tmp_path):
 
 @pytest.mark.parametrize("field,value,message", [
     ("n_o", 0, "n_o must be at least 1"),
-    ("n_o", 1_000_000_000, "recording too short"),
+    ("n_o", 100_000, "recording too short"),
+    ("n_o", 1_000_000_000, "test signal of"),
     ("n_repeats", 7, "8-cycle"),
     ("designs", 3, "exactly 4 units"),
+    ("designs", 0, "designs have fs"),
 ])
 def test_analyze_rejects_bad_session_layout(tmp_path, capsys, field, value, message):
     _simulated_session(tmp_path)
@@ -144,6 +158,23 @@ def test_analyze_rejects_bad_session_layout(tmp_path, capsys, field, value, mess
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert not (tmp_path / "out" / "levels.csv").exists()
+
+
+def test_analyze_rejects_a_sidecar_whose_fs_differs_from_its_designs(tmp_path, capsys):
+    """A recording rewritten at the sidecar's altered rate passes the
+    recording-versus-sidecar check; the designs' own rate does not."""
+    _simulated_session(tmp_path)
+    doc = json.loads((tmp_path / "test_signal.json").read_text())
+    doc["fs"] = 16000
+    (tmp_path / "fs16k.json").write_text(json.dumps(doc))
+    write_wav(tmp_path / "response16k.wav", read_wav(tmp_path / "response.wav")[0], 16000.0)
+    capsys.readouterr()
+    rc = main(["analyze", "--recording", str(tmp_path / "response16k.wav"),
+               "--sidecar", str(tmp_path / "fs16k.json"), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "designs have fs" in err[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_analyze_rejects_a_sidecar_of_four_identical_designs(tmp_path, capsys):
@@ -314,7 +345,7 @@ def test_analyze_rejects_sample_rate_mismatch(tmp_path, capsys):
     assert main(["make-signal", *FAST, "--cycles", "2",
                  "--out-dir", str(tmp_path)]) == 0
     wrong, _ = read_wav(tmp_path / "test_signal.wav")
-    write_wav(tmp_path / "wrong.wav", wrong, 44100.0, "float32")
+    write_wav(tmp_path / "wrong.wav", wrong, 44100.0)
     capsys.readouterr()
     bad_rate, good_rate = str(tmp_path / "wrong.wav"), str(tmp_path / "test_signal.wav")
     for files, which in (([bad_rate], "recording"),
@@ -328,7 +359,7 @@ def test_analyze_rejects_sample_rate_mismatch(tmp_path, capsys):
 
 @pytest.mark.parametrize("text", ["{not json", "[1, 2, 3]"])
 def test_analyze_rejects_a_sidecar_that_is_not_a_json_object(tmp_path, capsys, text):
-    write_wav(tmp_path / "response.wav", np.zeros(800), 8000.0, "float32")
+    write_wav(tmp_path / "response.wav", np.zeros(800), 8000.0)
     (tmp_path / "bad.json").write_text(text)
     assert _analyze(tmp_path, sidecar="bad.json") == 1
     err = capsys.readouterr().err
@@ -361,7 +392,7 @@ def test_augment_outputs(tmp_path):
 
 def _short_input(tmp_path):
     x = np.random.default_rng(0).standard_normal(800) * 0.1
-    write_wav(tmp_path / "input.wav", x, 8000.0, "float32")
+    write_wav(tmp_path / "input.wav", x, 8000.0)
     return tmp_path / "input.wav"
 
 
@@ -395,7 +426,7 @@ def test_augment_rejects_non_finite_or_silent_input(tmp_path, capsys, bad, messa
         x[:] = 0.0
     else:
         x[400] = float(bad)
-    write_wav(tmp_path / "bad.wav", x, 8000.0, "float32")
+    write_wav(tmp_path / "bad.wav", x, 8000.0)
     rc = main(["augment", "--input", str(tmp_path / "bad.wav"),
                "--out-dir", str(tmp_path / "out")])
     assert rc == 1
@@ -411,7 +442,7 @@ def test_augment_rejects_non_finite_or_silent_input(tmp_path, capsys, bad, messa
 def test_augment_rejects_a_negative_seed_or_a_huge_t_erd(tmp_path, capsys, option, value,
                                                         message):
     x = np.random.default_rng(0).standard_normal(800) * 0.1
-    write_wav(tmp_path / "in.wav", x, 8000.0, "float32")
+    write_wav(tmp_path / "in.wav", x, 8000.0)
     rc = main(["augment", "--input", str(tmp_path / "in.wav"), option, value,
                "--out-dir", str(tmp_path / "out")])
     assert rc == 1
@@ -469,7 +500,7 @@ def test_non_finite_or_malformed_design_inputs_exit_1(tmp_path, capsys, argv, me
 def test_simulate_rejects_malformed_or_non_finite_system(tmp_path, capsys, system_text,
                                                          message):
     x = np.random.default_rng(0).standard_normal(800) * 0.1
-    write_wav(tmp_path / "signal.wav", x, 8000.0, "float32")
+    write_wav(tmp_path / "signal.wav", x, 8000.0)
     (tmp_path / "system.json").write_text(system_text)
     rc = main(["simulate", "--signal", str(tmp_path / "signal.wav"),
                "--system", str(tmp_path / "system.json"),
@@ -482,7 +513,7 @@ def test_simulate_rejects_malformed_or_non_finite_system(tmp_path, capsys, syste
 
 @pytest.mark.parametrize("pre_silence_s", ["-1", "inf", "nan", "1e12"])
 def test_simulate_rejects_bad_pre_silence(tmp_path, capsys, pre_silence_s):
-    write_wav(tmp_path / "signal.wav", np.ones(100) * 0.1, 8000.0, "float32")
+    write_wav(tmp_path / "signal.wav", np.ones(100) * 0.1, 8000.0)
     (tmp_path / "system.json").write_text('{"lti_ir": [1.0]}')
     rc = main(["simulate", "--signal", str(tmp_path / "signal.wav"),
                "--system", str(tmp_path / "system.json"),
@@ -491,6 +522,26 @@ def test_simulate_rejects_bad_pre_silence(tmp_path, capsys, pre_silence_s):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "pre_silence_s" in err
     assert not (tmp_path / "out").exists()
+
+
+# Each once ended in numpy's _ArrayMemoryError traceback.
+@pytest.mark.parametrize("argv,message", [
+    (["optimize", *FAST, "--units", "4", "--grid-step", "1e-13"], "T_ERD grid"),
+    (["make-signal", *FAST, "--cycles", "1000000000000"], "test signal"),
+    (["make-signal", *FAST, "--n-o", "1000000000000000"], "test signal"),
+])
+def test_huge_numeric_flags_are_refused_before_allocating(tmp_path, capsys, argv, message):
+    tracemalloc.start()
+    try:
+        rc = main([*argv, "--out-dir", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+    assert peak < 8 << 20
+    assert not list((tmp_path / "out").glob("*.*"))
 
 
 def test_design_rejects_an_oversized_unit(tmp_path, capsys):

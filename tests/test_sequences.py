@@ -99,6 +99,7 @@ def test_pile_up_guard_and_bad_arguments():
     ((100,) * 4, 1000.0, 0, 8, "n_o"),
     ((100,) * 4, 1000.0, 10, 7, "8-cycle"),
     ((100,) * 4, 1000.0, 6, 8, "overlap"),  # 17 copies
+    ((100,) * 4, 1000.0, 2 ** 21, 8, "samples, over"),  # 2**24 + 99 samples
 ])
 def test_check_session_rejects_each_layout_rule(lengths, fs, n_o, n_rep, match):
     units = [_delta_unit(n, at=i) for i, n in enumerate(lengths)]
