@@ -37,9 +37,9 @@ from .wavio import read_wav, write_wav
 
 PEAK_TARGET = 0.5
 
-# Most points of optimize's T_ERD grid.  Each point costs a rectangle and
-# a Wasserstein distance over the ensemble's variance profile, about
-# 90 us at fs 44.1 kHz and fd 40 Hz, so the largest grid takes about 9 s.
+# Most points of optimize's T_ERD grid.  Each costs a rectangle and a
+# Wasserstein distance over the ensemble's variance profile: about 90 us
+# at fs 44.1 kHz, fd 40 Hz on a 2-core x86-64 host, 9 s for the largest.
 MAX_GRID_POINTS = 100_000
 
 

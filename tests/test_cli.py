@@ -524,7 +524,8 @@ def test_simulate_rejects_bad_pre_silence(tmp_path, capsys, pre_silence_s):
     assert not (tmp_path / "out").exists()
 
 
-# Each once ended in numpy's _ArrayMemoryError traceback.
+# Without a cap, each of these asks numpy for more memory than exists,
+# and its _ArrayMemoryError escapes as a traceback.
 @pytest.mark.parametrize("argv,message", [
     (["optimize", *FAST, "--units", "4", "--grid-step", "1e-13"], "T_ERD grid"),
     (["make-signal", *FAST, "--cycles", "1000000000000"], "test signal"),

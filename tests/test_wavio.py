@@ -151,10 +151,11 @@ def _extensible(plain: bytes, subformat: bytes, cb_size: int = 22) -> bytes:
 
 
 def _write_plain(path, x, subtype):
+    """x as a plain WAV of subtype "pcm16", "pcm24" or "float32"."""
     if subtype == "float32":
         write_wav(path, x, FS)
     else:
-        _write_pcm(path, x, int(subtype[3:]))
+        _write_pcm(path, x, {"pcm16": 16, "pcm24": 24}[subtype])
 
 
 @pytest.mark.parametrize("subtype,code", [("pcm16", 1), ("pcm24", 1), ("float32", 3)])
