@@ -19,16 +19,27 @@ and ``synchronous_average`` run these steps on full-length signals.
 ``decompose`` runs them in another order.  The comb sum and the cycle
 average are linear and shift-invariant, so they commute with correlation
 by a unit.  Only unit 0 is correlated with the whole recording
-(overlap-save, ``fftconv.OverlapSave``), because the alignment search
+(overlap-save, ``fftconv.convolve``), because the alignment search
 reads its comb profile.  Every usable cycle is then eight slots of
 n_o + L - 1 recording samples, L the unit length.  Channels 0-2 average
 the slots over the cycles, weight them by their B4 row, and correlate
 the one folded window with their unit.  Channel 3 keeps its power per
-cycle, so each cycle's folded window is correlated, all in one batched
-FFT.  The channels agree with the full-length steps to rounding.  The
-pre-signal silence is cut into windows of n_o + L - 1 samples at hop
-n_o and correlated with the fourth unit the same way, so each gives the
-n_o background lags where the unit overlaps the silence whole.
+cycle, so each cycle's folded window is correlated.  The channels agree
+with the full-length steps to rounding.  The pre-signal silence is cut
+into windows of n_o + L - 1 samples at hop n_o and correlated with the
+fourth unit the same way, so each gives the n_o background lags where
+the unit overlaps the silence whole.
+
+``decompose`` holds the recording, unit 0's compression while it finds
+the alignment, and otherwise arrays of a cycle's or a channel's length
+and buffers of about _CHUNK samples.  It divides by the playback scale
+as it copies samples into the compression frames, the cycle slots and
+the silence windows; the alignment sums the comb profile, and each
+comb's pulse window, a chunk of combs at a time; the slots are summed
+over the cycles, and channel 3's windows correlated, a chunk of cycles
+at a time, in cycle order; the silence windows are correlated a chunk
+at a time.  Every sum keeps the order of its whole-array form, so the
+results do not depend on _CHUNK.
 """
 from __future__ import annotations
 
@@ -40,7 +51,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import bands
 from .design import UnitCapricep
 from .errors import AnalysisError
-from .fftconv import OverlapSave, next_fast_len, next_pow2
+from .fftconv import convolve, fill, next_fast_len, next_pow2
 from .sequences import B4, check_session
 
 # Pre-roll (fraction of n_o) between window start and the pulse peak so
@@ -51,6 +62,10 @@ _PREROLL_FRACTION = 8
 # power by 8; noise-like channels are scaled back so all five channels
 # share the recording's dB reference.
 _NOISE_GAIN_COMP = np.sqrt(8.0)
+
+# Samples of recording, of compression or of silence that one chunk of
+# combs, cycles or silence windows holds, or one comb or cycle if longer.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,21 +89,21 @@ def compress(
     recorded: np.ndarray,
     units: list[UnitCapricep],
     n_o: int,
+    scale: float = 1.0,
 ) -> CompressedSignals:
-    """Correlate the recording with each unit (time-reversed convolution).
+    """Correlate the recording / scale with each unit (time-reversed
+    convolution).
 
-    Each q[m] is the full linear convolution of the recording with the
-    reversed unit m.  The recording is framed and transformed once, for
-    the longest unit, and every unit reuses its spectrum.
+    Each q[m] is the full linear convolution of the recording / scale
+    with the reversed unit m, by overlap-save, which divides by scale as
+    it frames the recording.
     """
     recorded = np.asarray(recorded, dtype=float)
     if len(recorded) < 8 * n_o:
         raise AnalysisError(
             f"recording too short: {len(recorded)} samples, need >= {8 * n_o}"
         )
-    framed = OverlapSave(recorded, max(len(u.samples) for u in units))
-    q = [framed.convolve(u.samples[::-1]) for u in units]
-    del framed  # freed before find_alignment allocates its work arrays
+    q = [convolve(recorded, u.samples[::-1], scale=scale) for u in units]
     return CompressedSignals(q=q, alignment=find_alignment(q[0], n_o))
 
 
@@ -98,17 +113,29 @@ def find_alignment(q1: np.ndarray, n_o: int) -> int:
     n_combs = len(q1) // n_o
     if n_combs < 2:
         raise AnalysisError("recording shorter than two pulse periods")
-    # q1 squared between w zeros on each side, so every comb's pulse
-    # window [pos - w, pos + w) is one 2w-sample slice of the buffer.
+    q1 = q1[:n_combs * n_o]
+    per = min(max(1, _CHUNK // n_o), n_combs)  # combs per chunk
     w = max(1, n_o // _PREROLL_FRACTION)
-    padded = np.zeros(n_combs * n_o + 2 * w)
-    e = np.square(q1[: n_combs * n_o], out=padded[w:-w])
-    if not np.any(e > 0.0):
+    buf = np.empty(per * n_o + 2 * w)
+    # The comb profile: q1^2 summed over the combs in comb order.
+    profile = np.zeros(n_o)
+    for c in range(0, n_combs, per):
+        k = min(per, n_combs - c)
+        e = np.square(q1[c * n_o:(c + k) * n_o], out=buf[:k * n_o])
+        for comb in e.reshape(k, n_o):
+            profile += comb
+    if not profile.any():
         return 0
-    profile = e.reshape(n_combs, n_o).sum(axis=0)
     peak_offset = int(np.argmax(profile))
-    windows = sliding_window_view(padded, 2 * w)[peak_offset::n_o][:n_combs]
-    pulse_energy = windows.sum(axis=1)
+    # Each comb's pulse window [pos - w, pos + w) of q1^2, with zeros past
+    # both ends of the combs, is one 2w-sample row of a chunk's windows.
+    pulse_energy = np.empty(n_combs)
+    for c in range(0, n_combs, per):
+        k = min(per, n_combs - c)
+        e = fill(buf[:k * n_o + 2 * w], q1, c * n_o - w)
+        np.square(e, out=e)
+        windows = sliding_window_view(e, 2 * w)[peak_offset::n_o][:k]
+        pulse_energy[c:c + k] = windows.sum(axis=1)
     steady = np.median(pulse_energy[pulse_energy > 0.1 * pulse_energy.max()])
     first = int(np.argmax(pulse_energy >= 0.5 * steady))
     n_ini = peak_offset + first * n_o - n_o // _PREROLL_FRACTION
@@ -191,8 +218,7 @@ def decompose(
     recorded = np.asarray(recorded, dtype=float)
     if not np.isfinite(recorded).all():
         raise AnalysisError("recording contains NaN or inf samples")
-    recorded = recorded / scale
-    comp = compress(recorded, units[:1], n_o)
+    comp = compress(recorded, units[:1], n_o, scale)
     n_ini = comp.alignment
     omega = usable_omega(n_o, n_repeats, n_ini, len(comp.q[0]))
     if not omega:
@@ -203,14 +229,23 @@ def decompose(
     # The first n_o lags of a circular correlation over n_fft >= n_o + L - 1
     # points wrap no sample of a folded window.
     n_unit = len(units[0].samples)
-    slots = _cycle_slots(recorded, n_unit, n_ini, n_o, omega)
     n_fft = next_fast_len(n_o + n_unit - 1)
     spectra = np.fft.rfft([u.samples for u in units], n_fft).conj()
 
     def correlate(fold, spectrum):
         return np.fft.irfft(np.fft.rfft(fold, n_fft) * spectrum, n_fft)[..., :n_o]
 
-    r_m = correlate(B4[:3] @ slots.mean(axis=0) / 8.0, spectra[:3])
+    # Fourth channel: never part of the test signal, so it carries noise
+    # and time variation only.  Each cycle's window w4 is kept.
+    slot_sum = np.zeros((8, n_o + n_unit - 1))
+    w4 = np.empty((len(omega), n_o))
+    for c, slots in _cycle_slots(recorded, n_unit, n_ini, n_o, omega, scale):
+        for cycle in slots:
+            slot_sum += cycle
+        w4[c:c + len(slots)] = correlate(np.einsum("s,csw->cw", B4[3] / 8.0, slots),
+                                         spectra[3])
+
+    r_m = correlate(B4[:3] @ (slot_sum / len(omega)) / 8.0, spectra[:3])
     lti_raw = (r_m[0] + r_m[1] + r_m[2]) / 3.0
 
     # The eight polarity-combination segments weight nonlinear products
@@ -221,14 +256,12 @@ def decompose(
     dev_stack = np.stack([rm - lti_raw for rm in r_m])
     nonlinear_ti = np.sqrt((dev_stack ** 2).mean(axis=0))
 
-    # Fourth channel: never part of the test signal, so it carries noise
-    # and time variation only.  Power is kept per cycle (no waveform
-    # averaging) and compensated for the orthogonalization gain.
-    w4 = correlate(np.einsum("s,csw->cw", B4[3] / 8.0, slots), spectra[3])
+    # Channel 3's power is kept per cycle (no waveform averaging) and
+    # compensated for the orthogonalization gain.
     random_tv = np.sqrt((w4 ** 2).mean(axis=0)) * _NOISE_GAIN_COMP
 
-    windows = _silence_windows(pre_silence, n_unit, n_o, scale)
-    background = None if windows is None else correlate(windows, spectra[3])
+    background = _background(pre_silence, n_unit, n_o, scale,
+                             lambda windows: correlate(windows, spectra[3]))
     return DecompositionResult(
         lti_raw=lti_raw,
         nonlinear_ti=nonlinear_ti,
@@ -246,29 +279,35 @@ def _cycle_slots(
     n_ini: int,
     n_o: int,
     omega: list[int],
-) -> np.ndarray:
-    """The eight slots of every usable cycle, as one (len(omega), 8,
-    n_o + n_unit - 1) view.  Slot s of cycle k holds the samples that
-    correlate into the cycle window q[n_ini + (8k + s) n_o:][:n_o] of a
-    full compression: the recording padded with n_unit - 1 leading zeros
-    and zeros past its end.  usable_omega keeps the cycles consecutive."""
+    scale: float,
+):
+    """(c, slots) for the usable cycles c, c + 1, ... of one chunk, slots a
+    (cycles, 8, n_o + n_unit - 1) view of a buffer reused by every chunk.
+    Slot s of a cycle holds the samples / scale that correlate into its
+    cycle window q[n_ini + (8k + s) n_o:][:n_o] of a full compression:
+    the recording padded with n_unit - 1 leading zeros and zeros past its
+    end.  usable_omega keeps the cycles consecutive."""
     width = n_o + n_unit - 1
+    per = min(max(1, _CHUNK // (8 * n_o)), len(omega))  # cycles per chunk
+    span = np.empty(8 * n_o * per + n_unit - 1)
     start = n_ini + 8 * n_o * omega[0] - (n_unit - 1)
-    span = np.zeros(8 * n_o * len(omega) + n_unit - 1)
-    lo, hi = max(start, 0), min(start + len(span), len(recorded))
-    span[lo - start:hi - start] = recorded[lo:hi]
-    return sliding_window_view(span, width)[::n_o].reshape(len(omega), 8, width)
+    for c in range(0, len(omega), per):
+        k = min(per, len(omega) - c)
+        chunk = fill(span[:8 * n_o * k + n_unit - 1], recorded, start + 8 * n_o * c, scale)
+        yield c, sliding_window_view(chunk, width)[::n_o].reshape(k, 8, width)
 
 
-def _silence_windows(
+def _background(
     pre_silence: np.ndarray | None,
     n_unit: int,
     n_o: int,
     scale: float,
+    correlate,
 ) -> np.ndarray | None:
-    """The pre-signal silence as windows of n_o + n_unit - 1 samples at hop
-    n_o, or None when there is no usable silence.  Correlated with the
-    fourth unit, window f gives the background frame of lags f n_o to
+    """The pre-signal silence / scale as windows of n_o + n_unit - 1
+    samples at hop n_o, each correlated with the fourth unit by
+    ``correlate`` a chunk of windows at a time; None when there is no
+    usable silence.  Window f gives the background frame of lags f n_o to
     (f + 1) n_o - 1 where the unit overlaps the silence whole.  Only
     compression is applied (the segment is shorter than an 8-cycle), so
     frames carry the same unit gain for noise as the compensated
@@ -278,12 +317,21 @@ def _silence_windows(
     silence = np.asarray(pre_silence, dtype=float)
     if not np.isfinite(silence).all():
         raise AnalysisError("pre-signal silence contains NaN or inf samples")
-    if np.max(np.abs(silence)) >= 0.999 * max(1.0, scale):
+    if max(silence.max(), -silence.min()) >= 0.999 * max(1.0, scale):
         return None
     width = n_o + n_unit - 1
     if len(silence) < width:
         return None
-    return sliding_window_view(silence / scale, width)[::n_o]
+    n_windows = (len(silence) - width) // n_o + 1
+    per = min(max(1, _CHUNK // width), n_windows)  # windows per chunk
+    windows = np.empty((per, width))
+    background = np.empty((n_windows, n_o))
+    for f in range(0, n_windows, per):
+        k = min(per, n_windows - f)
+        for j, row in enumerate(windows[:k]):
+            fill(row, silence, (f + j) * n_o, scale)
+        background[f:f + k] = correlate(windows[:k])
+    return background
 
 
 def _level_table(

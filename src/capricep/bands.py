@@ -9,6 +9,9 @@ _DB_FLOOR = -300.0
 # Longest chirp-z FFT of band_lag_sums, unless 4 lags need more: a wider
 # band is cut into pieces, which pads less than one power of two would.
 _MAX_CONV = 4096
+# Spectrum bins that band_powers transforms at a time: as many frames as
+# fit, or one frame if it is longer.
+_CHUNK_BINS = 1 << 16
 
 
 def third_octave_centers(fs: float, f_low: float = 25.0) -> np.ndarray:
@@ -38,9 +41,19 @@ def band_powers(x: np.ndarray, fs: float, centers: np.ndarray, n_fft: int) -> np
     last axis of x: shape x.shape[:-1] + (len(centers),).
 
     Power is |rfft|^2 summed over the band's bins and scaled by 1/n so
-    the sum over all bins equals the frame energy (Parseval).
+    the sum over all bins equals the frame energy (Parseval).  The frames
+    are transformed about _CHUNK_BINS samples at a time, so the working
+    memory does not grow with their number; each frame's sums equal
+    those of one batch, bit for bit.
     """
-    return _band_sums(power_spectrum(x, n_fft), *band_bins(fs, centers, n_fft))
+    start, stop = band_bins(fs, centers, n_fft)
+    x = np.asarray(x, dtype=float)
+    frames = x.reshape(-1, x.shape[-1])
+    sums = np.empty((len(frames), len(centers)))
+    per = max(1, _CHUNK_BINS // n_fft)  # frames per chunk
+    for f in range(0, len(frames), per):
+        sums[f:f + per] = _band_sums(power_spectrum(frames[f:f + per], n_fft), start, stop)
+    return sums.reshape(x.shape[:-1] + (len(centers),))
 
 
 def power_spectrum(x: np.ndarray, n_fft: int) -> np.ndarray:

@@ -42,6 +42,12 @@ PEAK_TARGET = 0.5
 # at fs 44.1 kHz, fd 40 Hz on a 2-core x86-64 host, 9 s for the largest.
 MAX_GRID_POINTS = 100_000
 
+# Most units of optimize's and xcorr-stats' ensembles, so at most 499,500
+# pairs for xcorr-stats.  At fs 44.1 kHz, fd 40 Hz on the same host a
+# unit takes about 4 ms and 61 kB, and a pair about 170 us: 4 s for the
+# largest ensemble and 85 s for its pairs.
+MAX_ENSEMBLE_UNITS = 1000
+
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fs", type=float, default=44100.0, help="sample rate (Hz)")
@@ -68,6 +74,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         w = csv.writer(f)
         w.writerow(header)
         w.writerows(rows)
+
+
+def _check_ensemble(n_units: int) -> None:
+    if n_units > MAX_ENSEMBLE_UNITS:
+        raise DesignError(f"an ensemble of {n_units} units is over {MAX_ENSEMBLE_UNITS}")
 
 
 def _terd(args) -> float:
@@ -102,6 +113,7 @@ def _float_list(text: str, flag: str) -> list[float]:
 
 def cmd_optimize(args) -> int:
     params = _params(args)
+    _check_ensemble(args.units)
     steps = (args.grid_min, args.grid_max, args.grid_step)
     if not (np.isfinite(steps).all() and args.grid_step > 0.0):
         raise DesignError("--grid-min, --grid-max and --grid-step must be finite "
@@ -131,6 +143,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_xcorr_stats(args) -> int:
     params = _params(args)
+    _check_ensemble(args.count)
     units = generate_ensemble(params, _terd(args), args.count)
     maxima = pairwise_max_xcorr(units)
     args.out_dir.mkdir(parents=True, exist_ok=True)
@@ -150,12 +163,13 @@ def cmd_make_signal(args) -> int:
     n_o = default_n_o(units[0]) if args.n_o is None else args.n_o
     n_repeats = default_n_repeats(args.cycles)
     signal = build_test_signal(units, n_o, n_repeats)
-    scale = PEAK_TARGET / float(np.max(np.abs(signal)))
+    scale = PEAK_TARGET / float(max(signal.max(), -signal.min()))
     meta = SessionMetadata(
         designs=designs, t_erd_s=t_erd, n_o=n_o, n_repeats=n_repeats,
         scale=scale, fingerprints=[unit_fingerprint(u) for u in units])
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    write_wav(args.out_dir / "test_signal.wav", signal * scale, args.fs)
+    signal *= scale
+    write_wav(args.out_dir / "test_signal.wav", signal, args.fs)
     (args.out_dir / "test_signal.json").write_text(meta.to_json())
     print(f"wrote test_signal.wav ({len(signal)} samples) and test_signal.json")
     return 0
@@ -300,7 +314,7 @@ def _keep_freed_heap() -> None:
     """Let glibc keep up to 64 MB of freed heap rather than return it to
     the kernel, and serve arrays up to 16 MB from that heap.
 
-    A subcommand frees its working set when it returns (about 25 MB for
+    A subcommand frees its working set when it returns (about 7 MB for
     analyze of a 23 s recording at 16 kHz).  By default glibc trims the
     heap once a few MB at its top are free, and nothing long-lived holds
     the top (numpy.fft keeps no plans between calls), so every large

@@ -1,23 +1,29 @@
 """FFT convolution and correlation, on numpy.fft alone.
 
-``OverlapSave(x, m)`` cuts x into overlapping frames once and keeps
-their spectra; ``convolve(k)`` then returns the full linear convolution
-x * k of any kernel of at most m samples for one rfft of k and an irfft
-per frame.  Frames are L = max(4096, next_pow2(8 m)) points long
-and overlap by m - 1, so after the m - 1 wrapped samples are dropped
-each frame yields a hop of L - m + 1 output samples; L depends only on
-m, which keeps every FFT short however long x is.  When the whole
+Both convolutions cut x into overlapping frames.  Frames are L =
+max(4096, next_pow2(8 m)) points long, m the longest kernel, and
+overlap by m - 1, so after the m - 1 wrapped samples are dropped each
+frame yields a hop of L - m + 1 output samples; L depends only on m,
+which keeps every FFT short however long x is.  When the whole
 convolution fits in L points it is one frame of next_fast_len(len(x) +
-m - 1) points with nothing dropped.  The framing and ``convolve`` both
-transform a bounded number of frames at a time through small buffers, so
-neither holds a padded copy of x or the samples of every frame; each
-frame's rfft and irfft row is bit-identical to the batched one, so the
-output does not depend on how many frames go at a time.  ``convolve``
-writes into the caller's ``out``, and transforms its frames through the
-caller's ``work`` buffer, when given them.  It is the one convolution
-path of the simulator, the analyzer and augment, which preallocates
-both on the calling thread so that its workers allocate no
-signal-length array.
+m - 1) points with nothing dropped.  Frames are filled (``fill``),
+transformed and written a bounded number at a time through small
+buffers, so neither convolution holds a padded copy of x or the samples
+of every frame; each frame's rfft and irfft row is bit-identical to the
+batched one, so the output does not depend on how many frames go at a
+time.
+
+``convolve(x, kernel)`` is the one-kernel convolution of the simulator
+and the analyzer.  It keeps no frame spectra: it fills, transforms,
+multiplies and writes a few frames at a time into the caller's ``out``,
+dividing x by ``scale`` as it fills them.  ``OverlapSave(x, m)``
+transforms the frames once and keeps their spectra; its ``convolve(k)``
+then costs one rfft of k and an irfft per frame for any kernel of at
+most m samples, which is what augment's many kernels need.  It
+transforms its frames through the caller's ``work`` buffer when given
+one, which augment preallocates on the calling thread so that its
+workers allocate no signal-length array.  Both give the same bits for
+the same x and kernel.
 
 This module holds both FFT length rules: ``next_pow2`` for the
 overlap-save frames and the power-of-two grids of the other modules,
@@ -71,37 +77,99 @@ def autocorrelation(x: np.ndarray) -> np.ndarray:
     return np.concatenate([r[nf - (n - 1):], r[:n]])
 
 
+def fill(out: np.ndarray, x: np.ndarray, at: int, scale: float = 1.0) -> np.ndarray:
+    """x[at : at + len(out)] / scale written into out, with zeros where x
+    has no sample; at may be negative."""
+    lo = min(max(at, 0), len(x))
+    hi = max(min(at + len(out), len(x)), lo)
+    out[:lo - at] = 0.0
+    np.divide(x[lo:hi], scale, out=out[lo - at:hi - at])
+    out[hi - at:] = 0.0
+    return out
+
+
+def _grid(n: int, m: int) -> tuple[int, int]:
+    """(frame, skip) for a signal of n samples and kernels of at most m."""
+    frame = max(_MIN_FRAME, next_pow2(8 * m))
+    if n + m - 1 <= frame:
+        return next_fast_len(n + m - 1), 0
+    return frame, m - 1
+
+
+def _check(x: np.ndarray, m: int) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size == 0 or m < 1:
+        raise ValueError("need a nonempty 1-D signal and a kernel length >= 1")
+    return x
+
+
+def _output(out: np.ndarray | None, n_out: int) -> np.ndarray:
+    if out is None:
+        return np.empty(n_out)
+    if len(out) != n_out:
+        raise ValueError(f"out holds {len(out)} samples, not {n_out}")
+    return out
+
+
+def _keep(out: np.ndarray, frames: np.ndarray, at: int, skip: int) -> None:
+    """Write the frames that start at output sample ``at``: each keeps its
+    samples from ``skip`` on, a hop of them, and only the last frame of
+    all may keep less than a hop."""
+    hop = frames.shape[1] - skip
+    stop = min(at + len(frames) * hop, len(out))
+    whole, rest = divmod(stop - at, hop)
+    out[at:stop - rest].reshape(whole, hop)[:] = frames[:whole, skip:]
+    if rest:
+        out[stop - rest:stop] = frames[whole, skip:skip + rest]
+
+
+def convolve(x: np.ndarray, kernel: np.ndarray, out: np.ndarray | None = None,
+             scale: float = 1.0) -> np.ndarray:
+    """The full linear convolution of x / scale with ``kernel``, its
+    len(x) + len(kernel) - 1 samples written into ``out`` (new by
+    default), bit-identical to ``OverlapSave(x / scale,
+    len(kernel)).convolve(kernel)``."""
+    m = len(kernel)
+    x = _check(x, m)
+    n_out = len(x) + m - 1
+    out = _output(out, n_out)
+    frame, skip = _grid(len(x), m)
+    hop = frame - skip
+    spec = np.fft.rfft(kernel, frame)
+    n_frames = -(-n_out // hop)
+    rows = min(_CHUNK_FRAMES, n_frames)
+    frames = np.empty((rows, frame))
+    prod = np.empty((rows, len(spec)), complex)
+    for f in range(0, n_frames, rows):
+        r = min(rows, n_frames - f)
+        for j, row in enumerate(frames[:r]):
+            fill(row, x, (f + j) * hop - skip, scale)
+        np.fft.rfft(frames[:r], axis=-1, out=prod[:r])
+        np.multiply(prod[:r], spec, out=prod[:r])
+        np.fft.irfft(prod[:r], frame, axis=-1, out=frames[:r])
+        _keep(out, frames[:r], f * hop, skip)
+    return out
+
+
 class OverlapSave:
     """The framed spectrum of one signal, to convolve with many kernels."""
 
     def __init__(self, x: np.ndarray, m: int):
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.size == 0 or m < 1:
-            raise ValueError("need a nonempty 1-D signal and a kernel length >= 1")
+        x = _check(x, m)
         self.n = len(x)
         self.m = m
-        n_out = self.n + m - 1
-        frame = max(_MIN_FRAME, next_pow2(8 * m))
-        if n_out <= frame:
-            frame, self.skip = next_fast_len(n_out), 0
-        else:
-            self.skip = m - 1
-        self.frame = frame
-        hop = frame - self.skip
-        n_frames = -(-n_out // hop)
+        self.frame, self.skip = _grid(self.n, m)
+        hop = self.frame - self.skip
+        n_frames = -(-(self.n + m - 1) // hop)
         # Frame f holds x[f hop - skip .. f hop - skip + frame - 1], with
         # zeros where x has no sample.
-        self._spec = np.empty((n_frames, frame // 2 + 1), complex)
+        self._spec = np.empty((n_frames, self.frame // 2 + 1), complex)
         rows = min(_CHUNK_FRAMES, n_frames)
-        frames = np.empty((rows, frame))
+        frames = np.empty((rows, self.frame))
         for f in range(0, n_frames, rows):
             r = min(rows, n_frames - f)
             for j, row in enumerate(frames[:r]):
-                at = (f + j) * hop - self.skip
-                lo, hi = max(at, 0), min(at + frame, self.n)
-                row[:lo - at] = 0.0
-                row[lo - at:hi - at] = x[lo:hi]
-                row[hi - at:] = 0.0
+                fill(row, x, (f + j) * hop - self.skip)
             np.fft.rfft(frames[:r], axis=-1, out=self._spec[f:f + r])
 
     def convolve(self, kernel: np.ndarray, out: np.ndarray | None = None,
@@ -115,10 +183,7 @@ class OverlapSave:
         if not 1 <= k <= self.m:
             raise ValueError(f"kernel length {k} outside 1 .. {self.m}")
         n_out = self.n + k - 1
-        if out is None:
-            out = np.empty(n_out)
-        elif len(out) != n_out:
-            raise ValueError(f"out holds {len(out)} samples, not {n_out}")
+        out = _output(out, n_out)
         hop = self.frame - self.skip
         spec = np.fft.rfft(kernel, self.frame)
         n_frames = -(-n_out // hop)  # a kernel shorter than m may need fewer
@@ -131,11 +196,5 @@ class OverlapSave:
             r = min(rows, n_frames - f)
             np.multiply(self._spec[f:f + r], spec, out=prod[:r])
             np.fft.irfft(prod[:r], self.frame, axis=-1, out=frames[:r])
-            # Frame f keeps its samples from ``skip`` on: output f*hop on.
-            # Only the last frame of all may keep less than a hop.
-            at, stop = f * hop, min((f + r) * hop, n_out)
-            whole, rest = divmod(stop - at, hop)
-            out[at:stop - rest].reshape(whole, hop)[:] = frames[:whole, self.skip:]
-            if rest:
-                out[stop - rest:stop] = frames[whole, self.skip:self.skip + rest]
+            _keep(out, frames[:r], f * hop, self.skip)
         return out

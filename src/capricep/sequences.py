@@ -23,8 +23,8 @@ B4 = np.array([
 _MAX_OVERLAP = 16
 
 # Most samples of a test signal, n_o * n_repeats + L - 1.  Building it
-# holds five float64 arrays of that length (three sequences and two
-# sums), so 2**24 samples, over 6 minutes at 44.1 kHz, take 640 MiB.
+# holds two float64 arrays of that length (the sum and one sequence), so
+# 2**24 samples, over 6 minutes at 44.1 kHz, take 256 MiB.
 MAX_SIGNAL_SAMPLES = 2 ** 24
 
 
@@ -33,7 +33,7 @@ def default_n_o(unit: UnitCapricep) -> int:
     return len(unit.samples)
 
 
-def default_n_repeats(n_cycles: int = 3) -> int:
+def default_n_repeats(n_cycles: int) -> int:
     """8 * (n_cycles + warm-up + cool-down) repetitions."""
     if n_cycles < 1:
         raise SignalError("need at least one analysis cycle")
@@ -74,6 +74,17 @@ def check_session(units: list[UnitCapricep], n_o: int, n_repeats: int) -> None:
     _check_layout(length, n_o, n_repeats)
 
 
+def _overlap_add(out: np.ndarray, unit: UnitCapricep, row: np.ndarray, n_o: int,
+                 n_repeats: int) -> np.ndarray:
+    """out, zeroed, then the n_repeats unit copies added at shifts k n_o
+    with weights row[k % 8]."""
+    length = len(unit.samples)
+    out[:] = 0.0
+    for k in range(n_repeats):
+        out[k * n_o:k * n_o + length] += row[k % 8] * unit.samples
+    return out
+
+
 def build_sequence(
     unit: UnitCapricep,
     weights_row: np.ndarray,
@@ -86,10 +97,7 @@ def build_sequence(
     row = np.asarray(weights_row, dtype=float)
     if row.shape != (8,):
         raise SignalError("weights_row must have 8 entries")
-    out = np.zeros(n_o * n_repeats + length - 1)
-    for k in range(n_repeats):
-        out[k * n_o:k * n_o + length] += row[k % 8] * unit.samples
-    return out
+    return _overlap_add(np.empty(n_o * n_repeats + length - 1), unit, row, n_o, n_repeats)
 
 
 def build_test_signal(
@@ -97,9 +105,14 @@ def build_test_signal(
     n_o: int,
     n_repeats: int,
 ) -> np.ndarray:
-    """Sum of the first three sequences.  The fourth B4 row is never
-    played; the analyzer's fourth channel carries only noise and time
-    variation."""
+    """Sum of the first three sequences, (s0 + s1) + s2, built through one
+    reused sequence buffer.  The fourth B4 row is never played; the
+    analyzer's fourth channel carries only noise and time variation."""
     check_session(units, n_o, n_repeats)
-    seq = [build_sequence(u, B4[m], n_o, n_repeats) for m, u in enumerate(units[:3])]
-    return seq[0] + seq[1] + seq[2]
+    n = n_o * n_repeats + len(units[0].samples) - 1
+    rows = B4.astype(float)
+    total = _overlap_add(np.empty(n), units[0], rows[0], n_o, n_repeats)
+    seq = np.empty(n)
+    for m in (1, 2):
+        total += _overlap_add(seq, units[m], rows[m], n_o, n_repeats)
+    return total

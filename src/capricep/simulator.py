@@ -1,4 +1,12 @@
-"""Virtual measurement chain for validating the analyzer without hardware."""
+"""Virtual measurement chain for validating the analyzer without hardware.
+
+``run`` holds its input and its output, and otherwise only buffers of
+_CHUNK samples: it convolves straight into the output, applies the
+polynomial and the drift gain to it _CHUNK samples at a time in place,
+and draws the noise _CHUNK samples at a time, in stream order, adding
+it in place.  Each sample goes through the same operations as on whole
+arrays, so the output does not depend on _CHUNK.
+"""
 from __future__ import annotations
 
 import json
@@ -7,11 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SignalError, whole_number
-from .fftconv import OverlapSave
+from .fftconv import convolve
 
 # Most samples of latency, or of pre-signal silence, the simulator will
 # allocate: 2**24 float64 samples are 128 MiB, over 5 minutes at 48 kHz.
 MAX_PAD_SAMPLES = 2 ** 24
+
+# Samples of the output shaped, or of noise drawn, at a time.
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,34 +129,37 @@ def run(
     if signal.size == 0:
         raise SignalError("input signal is empty")
     ir = np.asarray(system.lti_ir, dtype=float)
-    y = OverlapSave(signal, len(ir)).convolve(ir)
-
-    y = _polynomial(y, system.nl_coeffs)
-    if not (y.min() >= -10.0 and y.max() <= 10.0):  # also trips on NaN
-        raise SignalError("nonlinearity overflow: |y| exceeded 10 or is not finite")
-
-    if system.drift is not None:
-        period_s, depth = system.drift
-        gain = np.arange(len(y), dtype=float)
-        gain /= fs
-        gain *= 2.0 * np.pi
-        gain /= period_s
-        np.sin(gain, out=gain)
-        gain *= depth
-        gain += 1.0
-        y *= gain
-
     n_lat = int(system.latency_samples)
-    out = np.empty(n_lat + len(y))
-    rng = np.random.default_rng(int(system.noise_seed))
-    if system.noise_level_db is not None:
-        sigma = 10.0 ** (system.noise_level_db / 20.0)
-        pre = rng.normal(0.0, sigma, n_pre)
-        rng.standard_normal(out=out)
-        out *= sigma
-        out[n_lat:] += y
-    else:
-        pre = np.zeros(n_pre)
+    out = np.empty(n_lat + len(signal) + len(ir) - 1)
+    y = convolve(signal, ir, out[n_lat:])
+    for at in range(0, len(y), _CHUNK):
+        part = y[at:at + _CHUNK]
+        part[:] = _polynomial(part, system.nl_coeffs)
+        if not (part.min() >= -10.0 and part.max() <= 10.0):  # also trips on NaN
+            raise SignalError("nonlinearity overflow: |y| exceeded 10 or is not finite")
+        if system.drift is not None:
+            period_s, depth = system.drift
+            gain = np.arange(at, at + len(part), dtype=float)
+            gain /= fs
+            gain *= 2.0 * np.pi
+            gain /= period_s
+            np.sin(gain, out=gain)
+            gain *= depth
+            gain += 1.0
+            part *= gain
+
+    if system.noise_level_db is None:
         out[:n_lat] = 0.0
-        out[n_lat:] = y
+        return out, np.zeros(n_pre)
+    rng = np.random.default_rng(int(system.noise_seed))
+    sigma = 10.0 ** (system.noise_level_db / 20.0)
+    pre = rng.normal(0.0, sigma, n_pre)
+    noise = np.empty(min(_CHUNK, len(out)))
+    for at in range(0, len(out), _CHUNK):
+        part = out[at:at + _CHUNK]
+        z = rng.standard_normal(out=noise[:len(part)])
+        z *= sigma
+        lat = min(max(n_lat - at, 0), len(part))  # samples of latency: noise alone
+        part[:lat] = z[:lat]
+        part[lat:] += z[lat:]
     return out, pre

@@ -1,5 +1,12 @@
 """Minimal mono WAV I/O: reads PCM-16, PCM-24 and 32-bit float, and
-writes 32-bit float."""
+writes 32-bit float.
+
+``write_wav`` converts and writes _CHUNK samples at a time, so it holds
+no float32 or byte copy of the whole signal.  ``read_wav`` reads the
+file once and converts its data chunk through a view of those bytes, so
+it holds the file and the float64 samples it returns, and no copy of the
+chunk.
+"""
 from __future__ import annotations
 
 import struct
@@ -21,20 +28,28 @@ _SUBFORMATS = {
     for code in (_FORMAT_PCM, _FORMAT_FLOAT)
 }
 
+# Samples converted to float32 and written at a time.
+_CHUNK = 1 << 16
+
 
 def write_wav(path, samples: np.ndarray, fs: float) -> None:
     """Write a mono 32-bit float WAV file."""
-    payload = np.asarray(samples, dtype=np.float64).astype("<f4").tobytes()
+    samples = np.asarray(samples, dtype=np.float64)
+    n_bytes = 4 * len(samples)
     rate = int(round(fs))
+    chunk = np.empty(min(_CHUNK, len(samples)), "<f4")
     with open(path, "wb") as f:
         f.write(b"RIFF")
-        f.write(struct.pack("<I", 36 + len(payload)))
+        f.write(struct.pack("<I", 36 + n_bytes))
         f.write(b"WAVEfmt ")
         # fmt chunk size, format, channels, rate, byte rate, block align, bits
         f.write(struct.pack("<IHHIIHH", 16, _FORMAT_FLOAT, 1, rate, 4 * rate, 4, 32))
         f.write(b"data")
-        f.write(struct.pack("<I", len(payload)))
-        f.write(payload)
+        f.write(struct.pack("<I", n_bytes))
+        for at in range(0, len(samples), _CHUNK):
+            part = chunk[:len(samples) - at]
+            part[:] = samples[at:at + _CHUNK]
+            f.write(part.data)
 
 
 def read_wav(path) -> tuple[np.ndarray, float]:
@@ -45,6 +60,7 @@ def read_wav(path) -> tuple[np.ndarray, float]:
     """
     with open(path, "rb") as f:
         data = f.read()
+    view = memoryview(data)  # chunk bodies are slices of the file, not copies
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise SignalError(f"{path}: not a RIFF/WAVE file")
     pos = 12
@@ -53,7 +69,7 @@ def read_wav(path) -> tuple[np.ndarray, float]:
     while pos + 8 <= len(data):
         chunk_id = data[pos:pos + 4]
         size = struct.unpack("<I", data[pos + 4:pos + 8])[0]
-        body = data[pos + 8:pos + 8 + size]
+        body = view[pos + 8:pos + 8 + size]
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise SignalError(f"{path}: corrupt fmt chunk")
@@ -61,10 +77,11 @@ def read_wav(path) -> tuple[np.ndarray, float]:
             if fmt[0] == _FORMAT_EXTENSIBLE:
                 if len(body) < 40 or struct.unpack("<H", body[16:18])[0] < 22:
                     raise SignalError(f"{path}: WAVE_FORMAT_EXTENSIBLE fmt chunk too short")
-                if body[24:40] not in _SUBFORMATS:
+                sub = bytes(body[24:40])
+                if sub not in _SUBFORMATS:
                     raise SignalError(f"{path}: unsupported WAVE_FORMAT_EXTENSIBLE "
-                                      f"sub-format {body[24:40].hex()}")
-                fmt = (_SUBFORMATS[body[24:40]], *fmt[1:])
+                                      f"sub-format {sub.hex()}")
+                fmt = (_SUBFORMATS[sub], *fmt[1:])
         elif chunk_id == b"data":
             if len(body) < size:
                 raise SignalError(

@@ -3,13 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import fftconvolve
 
-from capricep import analyzer
+from capricep import analyzer, bands
 from capricep.analyzer import (
     CompressedSignals,
     _level_table,
-    _silence_windows,
+    _background,
     compress,
     decompose,
     find_alignment,
@@ -104,7 +105,7 @@ def test_compress_equals_fftconvolve_of_each_reversed_unit():
     designs = derive_unit_designs(DesignParams(fs=16000.0, fd=100.0, seed=5))
     units = [generate_unit(d) for d in designs]
     rec = np.random.default_rng(5).standard_normal(37_501)
-    # units of differing lengths share one transform grid
+    # units of differing lengths, each on its own transform grid
     mixed = [units[0], _delta_units(1, 16000.0)[0], units[1]]
     for us in (units, mixed):
         q = compress(rec, us, n_o=1111).q
@@ -123,6 +124,41 @@ def test_find_alignment_on_clean_comb():
     # compress refuses a recording under 8 n_o first, so decompose cannot get here
     with pytest.raises(AnalysisError, match="two pulse periods"):
         find_alignment(x[:2 * n_o - 1], n_o)
+
+
+def _find_alignment_whole(q1, n_o):
+    """find_alignment on whole arrays: q1 squared between w zeros on each
+    side, and every comb's pulse window one row of one sliding view."""
+    n_combs = len(q1) // n_o
+    w = max(1, n_o // 8)
+    padded = np.zeros(n_combs * n_o + 2 * w)
+    e = np.square(q1[: n_combs * n_o], out=padded[w:-w])
+    if not np.any(e > 0.0):
+        return 0
+    profile = e.reshape(n_combs, n_o).sum(axis=0)
+    peak_offset = int(np.argmax(profile))
+    windows = sliding_window_view(padded, 2 * w)[peak_offset::n_o][:n_combs]
+    pulse_energy = windows.sum(axis=1)
+    steady = np.median(pulse_energy[pulse_energy > 0.1 * pulse_energy.max()])
+    first = int(np.argmax(pulse_energy >= 0.5 * steady))
+    return max(0, peak_offset + first * n_o - n_o // 8)
+
+
+@pytest.mark.parametrize("chunk", [1, 1000, 1 << 16])
+def test_find_alignment_equals_the_whole_array_form(monkeypatch, chunk):
+    """Combs one, several (with a last partial chunk) and all at a time;
+    pulses at the first and the last sample of a comb, so pulse windows
+    reach past both ends of the combs."""
+    monkeypatch.setattr(analyzer, "_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for n_o in (8, 77, 200):
+        for n in (2 * n_o, 12 * n_o + 5, 40 * n_o + 3):
+            for offset in (0, 3, n_o - 1):
+                x = 0.05 * rng.standard_normal(n)
+                x[offset::n_o] += rng.uniform(0.2, 1.0, len(x[offset::n_o]))
+                x[offset::n_o][rng.integers(2)] *= 0.3  # a weak first pulse
+                assert find_alignment(x, n_o) == _find_alignment_whole(x, n_o)
+    assert find_alignment(np.zeros(500), 77) == _find_alignment_whole(np.zeros(500), 77) == 0
 
 
 def test_find_alignment_skips_weak_warmup():
@@ -245,7 +281,7 @@ def test_background_of_a_silence_shorter_than_the_unit_is_invalid():
     n_o = len(u4) // 4
     silence = np.full(2 * n_o, 1e-3)
     assert len(silence) < len(u4)
-    assert _silence_windows(silence, len(u4), n_o, 1.0) is None
+    assert _background(silence, len(u4), n_o, 1.0, None) is None
 
 
 def test_level_table_averages_each_frame_stack_in_power():
@@ -380,10 +416,12 @@ def test_decompose_fold_pads_slots_past_both_ends_of_the_recording():
 
 
 def test_decompose_traced_peak_stays_a_few_recordings():
-    """decompose compresses the recording with unit 0 alone and folds the
-    rest per cycle, so its traced allocation peak on this 20-cycle session
-    (39,351 samples) is about 4.4 times the recording's float64 bytes; the
-    four full-length compressions it replaced took about 7.7 times."""
+    """decompose holds the recording, unit 0's compression while it finds
+    the alignment, and otherwise chunks and arrays a cycle long, so its
+    traced allocation peak on this 20-cycle session (39,351 samples) is
+    2.12 times the recording's float64 bytes.  Holding a divided copy of
+    the recording, a padded copy of its compression and every cycle's
+    slots, it traced 3.89 times.  The bound is 2.5 times."""
     fs = 8000.0
     units = [generate_unit(d) for d in derive_unit_designs(DesignParams(fs=fs, fd=250.0, seed=3))]
     session = (units, len(units[0].samples), default_n_repeats(20))
@@ -397,7 +435,45 @@ def test_decompose_traced_peak_stays_a_few_recordings():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6.0 * rec.nbytes
+    assert peak <= 2.5 * rec.nbytes
+
+
+def test_decompose_traced_peak_with_a_long_silence_stays_a_few_silences():
+    """At 16 kHz and n_o 70 a 10 s silence is 2,269 overlapping windows
+    of 1,180 samples.  Correlated in one batch, with their band powers
+    in one batch, they made decompose trace 45.3 MB; a chunk at a time it
+    traces 3.2 MB, 2.48 times the silence's float64 bytes, mostly its
+    background frames.  The bound is 3 times."""
+    fs = 16000.0
+    units = [generate_unit(d) for d in derive_unit_designs(DesignParams(fs=fs, fd=100.0, seed=3))]
+    session = (units, 70, default_n_repeats(8))
+    system = VirtualSystem(lti_ir=(1.0, 0.2), noise_level_db=-50.0, latency_samples=57,
+                           noise_seed=3)
+    rec, pre = run(system, build_test_signal(*session), fs, pre_silence_s=10.0)
+    assert decompose(rec, pre, *session).background_valid
+    tracemalloc.start()
+    try:
+        decompose(rec, pre, *session)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * pre.nbytes
+
+
+def test_decompose_does_not_depend_on_the_chunk_lengths(monkeypatch):
+    """One comb, cycle, silence window and band-power frame at a time,
+    several with a last partial chunk, and everything at once (the
+    whole-array form) give the same bytes."""
+    session, scale, rec, pre = _simulated_session(8000.0, 250.0, 5, 24)
+    results = []
+    for chunk in (1, 5000, 1 << 40):
+        monkeypatch.setattr(analyzer, "_CHUNK", chunk)
+        monkeypatch.setattr(bands, "_CHUNK_BINS", chunk)
+        r = decompose(rec, pre, *session, scale=scale)
+        assert r.background_valid and r.omega_size == 5
+        results.append([r.n_ini, r.lti_raw.tobytes(), r.nonlinear_ti.tobytes(),
+                        r.random_tv.tobytes(), *(v.tobytes() for v in r.levels_db.values())])
+    assert results[0] == results[1] == results[2]
 
 
 def test_decompose_without_usable_cycle_raises():

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import capricep
+from capricep import cli
 from capricep.analyzer import decompose
 from capricep.cli import main
 from capricep.design import DesignParams, derive_unit_designs, generate_unit
@@ -545,6 +546,77 @@ def test_huge_numeric_flags_are_refused_before_allocating(tmp_path, capsys, argv
     assert not list((tmp_path / "out").glob("*.*"))
 
 
+def _env_with_src():
+    src = str(Path(capricep.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+
+
+# Without the cap, each drew units until memory ran out, hours later.
+@pytest.mark.parametrize("argv", [
+    ["xcorr-stats", *FAST, "--count", "100000000"],
+    ["optimize", *FAST, "--units", "100000000", "--grid-min", "1.6", "--grid-max", "1.6"],
+])
+def test_huge_ensembles_are_refused_before_a_unit_is_drawn(tmp_path, argv):
+    code = ("import sys, tracemalloc; from capricep.cli import main; tracemalloc.start(); "
+            "rc = main(sys.argv[1:]); print(rc, tracemalloc.get_traced_memory()[1])")
+    proc = subprocess.run([sys.executable, "-c", code, *argv, "--out-dir", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=_env_with_src(), timeout=60)
+    rc, peak = map(int, proc.stdout.split())
+    assert rc == 1
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "ensemble" in err[0]
+    assert peak < 8 << 20
+    assert not (tmp_path / "out").exists()
+
+
+def test_ensembles_at_the_cap_are_accepted_and_one_more_unit_is_not(tmp_path, capsys,
+                                                                     monkeypatch):
+    monkeypatch.setattr(cli, "MAX_ENSEMBLE_UNITS", 3)
+    for flag, command in (("--count", "xcorr-stats"), ("--units", "optimize")):
+        assert main([command, *FAST, flag, "3", "--out-dir", str(tmp_path)]) == 0
+        assert main([command, *FAST, flag, "4", "--out-dir", str(tmp_path)]) == 1
+        assert "an ensemble of 4 units is over 3" in capsys.readouterr().err
+
+
+def test_make_signal_simulate_and_analyze_each_trace_under_2_75_signals(tmp_path):
+    """At the benchmark's measure session (16 kHz, fd 100 Hz, 40 cycles:
+    a test signal of 374,406 samples) each stage holds its input, its
+    output and fixed-size chunks.  make-signal, simulate and analyze
+    trace 2.02, 2.14 and 2.29 times the test signal's float64 bytes; on
+    whole arrays they traced 4.02, 4.05 and 4.38 times."""
+    rng = np.random.default_rng(1)
+    fir = rng.normal(0.0, 1.0, 256) * np.exp(-np.arange(256) / 40.0) * 0.3
+    fir[0] = 1.0
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps({"lti_ir": fir.tolist(), "nl_coeffs": [1.0, 0.0, 0.2],
+                                  "noise_level_db": -50.0, "drift": [2.0, 0.1],
+                                  "latency_samples": 123, "noise_seed": 9}))
+
+    def stages(out, fs, fd, cycles):
+        return [["make-signal", "--fs", fs, "--fd", fd, "--seed", "5", "--cycles", cycles,
+                 "--out-dir", str(out)],
+                ["simulate", "--signal", str(out / "test_signal.wav"), "--system", str(system),
+                 "--out-dir", str(out / "sim")],
+                ["analyze", "--recording", str(out / "sim" / "response.wav"),
+                 "--silence", str(out / "sim" / "silence.wav"),
+                 "--sidecar", str(out / "test_signal.json"), "--out-dir", str(out / "an")]]
+
+    for argv in stages(tmp_path / "warm", "8000", "400", "1"):  # first-call allocations
+        assert main(argv) == 0
+    peaks = []
+    for argv in stages(tmp_path / "measure", "16000", "100", "40"):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    signal, _ = read_wav(tmp_path / "measure" / "test_signal.wav")
+    assert len(signal) == 374_406
+    assert max(peaks) <= 2.75 * signal.nbytes, [p / signal.nbytes for p in peaks]
+
+
 def test_design_rejects_an_oversized_unit(tmp_path, capsys):
     # fd 0.01 Hz at the default 44.1 kHz: a 173.6 s T_ERD, refused before
     # any synthesis array is allocated.
@@ -576,11 +648,8 @@ def test_importing_the_cli_loads_no_scipy_module():
     scipy.fft alone would add about 0.3 s to every CLI call."""
     code = ("import sys, capricep.cli; "
             "print([m for m in sys.modules if m.startswith('scipy')])")
-    src = str(Path(capricep.__file__).resolve().parents[1])
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=_env_with_src(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

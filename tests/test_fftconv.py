@@ -6,7 +6,14 @@ import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import fftconvolve
 
-from capricep.fftconv import _CHUNK_FRAMES, OverlapSave, autocorrelation, next_fast_len
+from capricep.fftconv import (
+    _CHUNK_FRAMES,
+    OverlapSave,
+    autocorrelation,
+    convolve,
+    fill,
+    next_fast_len,
+)
 
 # Frame and hop for a longest kernel of 256 samples: L = max(4096,
 # next_pow2(8 * 256)) = 4096, and each frame yields L - 255 samples.
@@ -78,19 +85,48 @@ def test_chunked_frames_are_bit_identical_to_one_batch(n_frames):
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("n_frames", [1, _CHUNK_FRAMES, _CHUNK_FRAMES + 1, 2 * _CHUNK_FRAMES,
+                                      3 * _CHUNK_FRAMES + 1])
+@pytest.mark.parametrize("scale", [1.0, 0.37])
+def test_one_kernel_convolve_is_bit_identical_to_overlap_save(n_frames, scale):
+    """convolve keeps no frame spectra and divides by scale as it fills
+    its frames; its output equals OverlapSave's on the divided signal,
+    bit for bit, into a new array or into ``out``."""
+    n = 100 if n_frames == 1 else n_frames * HOP_256 - 255
+    rng = np.random.default_rng(n_frames)
+    x = rng.standard_normal(n)
+    kernel = rng.standard_normal(256)
+    want = OverlapSave(x / scale, 256).convolve(kernel)
+    assert convolve(x, kernel, scale=scale).tobytes() == want.tobytes()
+    out = np.full(n + 255, np.nan)
+    assert convolve(x, kernel, out, scale) is out
+    assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("at", [-20, -5, 0, 3, 7, 10, 15])
+def test_fill_pads_with_zeros_where_the_signal_has_no_sample(at):
+    x = np.arange(1.0, 11.0)
+    padded = np.concatenate([np.zeros(20), x, np.zeros(20)])
+    want = padded[at + 20:at + 25] / 4.0
+    assert fill(np.full(5, np.nan), x, at, 4.0).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("length", [0, 96, 98])
 def test_convolve_refuses_an_out_of_another_length(length):
     framed = OverlapSave(np.ones(90), 8)  # 90 + 8 - 1 = 97 samples
     with pytest.raises(ValueError, match="not 97"):
         framed.convolve(np.ones(8), np.empty(length))
+    with pytest.raises(ValueError, match="not 97"):
+        convolve(np.ones(90), np.ones(8), np.empty(length))
 
 
 def test_rejects_a_kernel_longer_than_declared():
     framed = OverlapSave(np.ones(100), 8)
     with pytest.raises(ValueError):
         framed.convolve(np.ones(9))
-    with pytest.raises(ValueError):
-        OverlapSave(np.array([]), 8)
+    for empty in (OverlapSave, lambda x, m: convolve(x, np.ones(m))):
+        with pytest.raises(ValueError):
+            empty(np.array([]), 8)
 
 
 def test_next_fast_len_is_scipys_real_fast_length():

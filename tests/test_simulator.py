@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from capricep.errors import SignalError
+from capricep import simulator
 from capricep.simulator import MAX_PAD_SAMPLES, VirtualSystem, _polynomial, run
 
 FS = 8000.0
@@ -181,10 +182,13 @@ def test_polynomial_in_place_is_bit_identical_to_one_array_per_step(coeffs):
 
 @pytest.mark.parametrize("nl_coeffs,drift", [((1.0,), None), ((1.0, 0.0, 0.2), (2.0, 0.1))],
                          ids=["linear", "cubic-drift"])
-def test_run_traces_at_most_three_and_a_half_signals(nl_coeffs, drift):
-    """A new array per step of the chain traces 4.0 (linear) and 5.0
-    (cubic with drift) times the input's bytes; built in place, the
-    chain traces about 3."""
+def test_run_traces_at_most_one_and_three_quarter_signals(nl_coeffs, drift):
+    """run convolves into its output and shapes it, and draws the noise,
+    _CHUNK samples at a time, so on 100,000 samples it traces 1.29
+    (linear) and 1.50 (cubic with drift) times the input's bytes: the
+    output, the silence and a few chunks.  On whole arrays it traced 2.40
+    and 3.02 times; the bound is 1.75, a quarter of the input above the
+    larger."""
     x = 0.3 * np.random.default_rng(0).standard_normal(100_000)
     ir = np.exp(-np.arange(256) / 40.0)
     system = VirtualSystem(lti_ir=ir / np.sqrt(np.sum(ir * ir)), nl_coeffs=nl_coeffs,
@@ -197,4 +201,36 @@ def test_run_traces_at_most_three_and_a_half_signals(nl_coeffs, drift):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * x.nbytes
+    assert peak <= 1.75 * x.nbytes
+
+
+def test_chunked_normal_draws_equal_one_draw():
+    """run draws its noise _CHUNK samples at a time; a Generator's chunked
+    standard_normal draws continue one stream, so they equal one draw,
+    also after a draw of another length and for a last partial chunk."""
+    n, chunk = 10 * simulator._CHUNK + 123, simulator._CHUNK
+    one = np.random.default_rng(6)
+    one.normal(0.0, 0.1, 77)
+    want = one.standard_normal(n)
+    chunked = np.random.default_rng(6)
+    chunked.normal(0.0, 0.1, 77)
+    got = np.empty(n)
+    for at in range(0, n, chunk):
+        chunked.standard_normal(out=got[at:at + chunk])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("noise_level_db", [-40.0, None])
+def test_run_does_not_depend_on_the_chunk_length(monkeypatch, noise_level_db):
+    """Chunks of 1000 samples, with the latency ending inside the third,
+    give the bytes of one chunk for the whole output (the whole-array
+    form)."""
+    x = 0.3 * np.random.default_rng(1).standard_normal(9000)
+    system = VirtualSystem(lti_ir=(1.0, 0.4, -0.2), nl_coeffs=(1.0, 0.0, 0.2),
+                           noise_level_db=noise_level_db, drift=(0.2, 0.3),
+                           latency_samples=2500, noise_seed=8)
+    outputs = []
+    for chunk in (1000, 1 << 30):
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        outputs.append([a.tobytes() for a in run(system, x, FS, pre_silence_s=0.01)])
+    assert outputs[0] == outputs[1]

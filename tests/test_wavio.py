@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from capricep.errors import SignalError
-from capricep.wavio import read_wav, write_wav
+from capricep.wavio import _CHUNK, read_wav, write_wav
 
 FS = 8000.0
 
@@ -43,6 +43,21 @@ def test_float32_round_trip_is_bit_exact(wave, tmp_path):
     _write_pcm(tmp_path / "pcm32.wav", wave, 32)
     ref = (tmp_path / "pcm32.wav").read_bytes()
     assert p.read_bytes()[:44] == ref[:20] + struct.pack("<H", 3) + ref[22:44]
+
+
+@pytest.mark.parametrize("n", [0, 1, _CHUNK, _CHUNK + 1])
+def test_chunked_payload_equals_the_one_shot_encoding(tmp_path, n):
+    """write_wav converts _CHUNK samples at a time; its payload equals the
+    whole signal's float32 bytes, and its sizes count every sample."""
+    x = np.random.default_rng(n).standard_normal(n)
+    write_wav(tmp_path / "x.wav", x, FS)
+    data = (tmp_path / "x.wav").read_bytes()
+    payload = x.astype("<f4").tobytes()
+    assert data[44:] == payload
+    assert struct.unpack("<I", data[4:8])[0] == 36 + len(payload)
+    assert struct.unpack("<I", data[40:44])[0] == len(payload)
+    back, _ = read_wav(tmp_path / "x.wav")
+    assert back.tobytes() == x.astype("<f4").astype(np.float64).tobytes()
 
 
 def test_pcm16_round_trip_within_one_lsb(wave, tmp_path):
