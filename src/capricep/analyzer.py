@@ -25,21 +25,19 @@ n_o + L - 1 recording samples, L the unit length.  Channels 0-2 average
 the slots over the cycles, weight them by their B4 row, and correlate
 the one folded window with their unit.  Channel 3 keeps its power per
 cycle, so each cycle's folded window is correlated.  The channels agree
-with the full-length steps to rounding.  The pre-signal silence is cut
-into windows of n_o + L - 1 samples at hop n_o and correlated with the
-fourth unit the same way, so each gives the n_o background lags where
-the unit overlaps the silence whole.
+with the full-length steps to rounding.  The pre-signal silence goes
+through the same overlap-save with the fourth unit, and the lags where
+the unit overlaps it whole, cut every n_o, are the background frames.
 
 ``decompose`` holds the recording, unit 0's compression while it finds
-the alignment, and otherwise arrays of a cycle's or a channel's length
-and buffers of about _CHUNK samples.  It divides by the playback scale
-as it copies samples into the compression frames, the cycle slots and
-the silence windows; the alignment sums the comb profile, and each
-comb's pulse window, a chunk of combs at a time; the slots are summed
-over the cycles, and channel 3's windows correlated, a chunk of cycles
-at a time, in cycle order; the silence windows are correlated a chunk
-at a time.  Every sum keeps the order of its whole-array form, so the
-results do not depend on _CHUNK.
+the alignment, the silence's compression, and otherwise arrays of a
+cycle's or a channel's length and buffers of about _CHUNK samples.  It
+divides by the playback scale as it copies samples into the compression
+frames and the cycle slots; the alignment sums the comb profile, and
+each comb's pulse window, a chunk of combs at a time; the slots are
+summed over the cycles, and channel 3's windows correlated, a chunk of
+cycles at a time, in cycle order.  Every sum keeps the order of its
+whole-array form, so the results do not depend on _CHUNK.
 """
 from __future__ import annotations
 
@@ -63,8 +61,8 @@ _PREROLL_FRACTION = 8
 # share the recording's dB reference.
 _NOISE_GAIN_COMP = np.sqrt(8.0)
 
-# Samples of recording, of compression or of silence that one chunk of
-# combs, cycles or silence windows holds, or one comb or cycle if longer.
+# Samples of recording or of compression that one chunk of combs or
+# cycles holds, or one comb or cycle if longer.
 _CHUNK = 1 << 16
 
 
@@ -260,8 +258,7 @@ def decompose(
     # compensated for the orthogonalization gain.
     random_tv = np.sqrt((w4 ** 2).mean(axis=0)) * _NOISE_GAIN_COMP
 
-    background = _background(pre_silence, n_unit, n_o, scale,
-                             lambda windows: correlate(windows, spectra[3]))
+    background = _background(pre_silence, units[3].samples, n_o, scale)
     return DecompositionResult(
         lti_raw=lti_raw,
         nonlinear_ti=nonlinear_ti,
@@ -299,39 +296,30 @@ def _cycle_slots(
 
 def _background(
     pre_silence: np.ndarray | None,
-    n_unit: int,
+    u4: np.ndarray,
     n_o: int,
     scale: float,
-    correlate,
 ) -> np.ndarray | None:
-    """The pre-signal silence / scale as windows of n_o + n_unit - 1
-    samples at hop n_o, each correlated with the fourth unit by
-    ``correlate`` a chunk of windows at a time; None when there is no
-    usable silence.  Window f gives the background frame of lags f n_o to
-    (f + 1) n_o - 1 where the unit overlaps the silence whole.  Only
-    compression is applied (the segment is shorter than an 8-cycle), so
-    frames carry the same unit gain for noise as the compensated
-    channel-4 windows."""
+    """The background frames: the pre-signal silence / scale correlated
+    with the fourth unit u4 in one overlap-save pass, at the lags where
+    u4 overlaps the silence whole, cut every n_o into a (frames, n_o)
+    view; None when there is no usable silence.  A silence that reaches
+    the recorder's full scale (1.0, whatever the playback gain) is
+    clipped and not used.  Only compression is applied (the segment is
+    shorter than an 8-cycle), so frames carry the same unit gain for
+    noise as the compensated channel-4 windows."""
     if pre_silence is None or len(pre_silence) < 2 * n_o:
         return None
     silence = np.asarray(pre_silence, dtype=float)
     if not np.isfinite(silence).all():
         raise AnalysisError("pre-signal silence contains NaN or inf samples")
-    if max(silence.max(), -silence.min()) >= 0.999 * max(1.0, scale):
+    if max(silence.max(), -silence.min()) >= 0.999:
         return None
-    width = n_o + n_unit - 1
-    if len(silence) < width:
+    n_frames = (len(silence) - len(u4) + 1) // n_o
+    if n_frames < 1:
         return None
-    n_windows = (len(silence) - width) // n_o + 1
-    per = min(max(1, _CHUNK // width), n_windows)  # windows per chunk
-    windows = np.empty((per, width))
-    background = np.empty((n_windows, n_o))
-    for f in range(0, n_windows, per):
-        k = min(per, n_windows - f)
-        for j, row in enumerate(windows[:k]):
-            fill(row, silence, (f + j) * n_o, scale)
-        background[f:f + k] = correlate(windows[:k])
-    return background
+    q = convolve(silence, u4[::-1], scale=scale)
+    return q[len(u4) - 1:len(u4) - 1 + n_frames * n_o].reshape(n_frames, n_o)
 
 
 def _level_table(

@@ -112,7 +112,7 @@ def run(
     system: VirtualSystem,
     signal: np.ndarray,
     fs: float,
-    pre_silence_s: float = 1.0,
+    pre_silence_s: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Drive the virtual system; returns (output, pre_silence).
 

@@ -239,23 +239,24 @@ def test_decompose_identity_system_recovers_flat_response():
         assert len(result.levels_db[key]) == len(result.levels_db["freq_hz"])
 
 
-# A silence of 3 n_o fits one frame of _decompose_reference's
-# overlap-save; one of 20,000 samples spans several, each dropping its
-# wrapped head.
+# A silence of 3 L fits one overlap-save frame; one of 20,000 samples
+# spans several, each dropping its wrapped head.  n_o is the unit length
+# L or a third of it.
+@pytest.mark.parametrize("n_o", [222, 222 // 3])
 @pytest.mark.parametrize("n_silence,one_frame", [(3 * 222, True), (20_000, False)])
 def test_background_frames_are_the_valid_compression_of_the_silence(n_silence, one_frame,
-                                                                   monkeypatch):
-    """decompose correlates the silence in windows of n_o + L - 1 samples
-    at hop n_o.  The frames it hands to the level table are the valid
-    correlation of the silence with the fourth unit, cut every n_o, and
-    its levels match the overlap-save reference's."""
+                                                                   n_o, monkeypatch):
+    """decompose compresses the silence by the one overlap-save.  The
+    frames it hands to the level table are its valid correlation with the
+    fourth unit, cut every n_o: the very bits of OverlapSave's, and the
+    valid correlation to rounding.  Its levels match the reference's."""
     units = [generate_unit(d) for d in
              derive_unit_designs(DesignParams(fs=8000.0, fd=250.0, seed=17))]
     u4 = units[3].samples
-    n_o, scale = len(u4), 0.4
-    assert n_o == 222
+    scale = 0.4
+    assert len(u4) == 222
     silence = np.random.default_rng(n_silence).standard_normal(n_silence) * 0.1
-    assert (OverlapSave(silence, n_o).skip == 0) == one_frame
+    assert (OverlapSave(silence, len(u4)).skip == 0) == one_frame
     handed = []
 
     def level_table(*args):
@@ -272,6 +273,8 @@ def test_background_frames_are_the_valid_compression_of_the_silence(n_silence, o
     assert frames.shape == (n_frames, n_o)
     want = valid[:n_frames * n_o].reshape(n_frames, n_o)
     assert np.max(np.abs(frames - want)) <= 1e-12 * np.max(np.abs(want))
+    q = OverlapSave(silence / scale, len(u4)).convolve(u4[::-1])
+    assert np.array_equal(frames, q[len(u4) - 1:][:n_frames * n_o].reshape(n_frames, n_o))
 
 
 def test_background_of_a_silence_shorter_than_the_unit_is_invalid():
@@ -281,7 +284,7 @@ def test_background_of_a_silence_shorter_than_the_unit_is_invalid():
     n_o = len(u4) // 4
     silence = np.full(2 * n_o, 1e-3)
     assert len(silence) < len(u4)
-    assert _background(silence, len(u4), n_o, 1.0, None) is None
+    assert _background(silence, u4, n_o, 1.0) is None
 
 
 def test_level_table_averages_each_frame_stack_in_power():
@@ -311,7 +314,7 @@ def test_decompose_without_silence_marks_background_invalid():
     units = [generate_unit(d) for d in designs]
     session = (units, len(units[0].samples), 8 * 5)
     clipped = np.full(4 * session[1], 1e-3)
-    clipped[7] = 1.0  # at full scale: background estimation is skipped
+    clipped[7] = 1.0  # at the recorder's full scale: background estimation is skipped
     for pre in (None, clipped):
         result = decompose(build_test_signal(*session), pre, *session)
         assert not result.background_valid
@@ -333,7 +336,7 @@ def _decompose_reference(recorded, pre_silence, units, n_o, n_repeats, scale):
     # keeping the lags where the unit overlaps it whole, cut every n_o.
     u4, background = units[3].samples, None
     if pre_silence is not None and len(pre_silence) >= 2 * n_o and (
-            np.max(np.abs(pre_silence)) < 0.999 * max(1.0, scale)):
+            np.max(np.abs(pre_silence)) < 0.999):
         silence = np.asarray(pre_silence, dtype=float) / scale
         qbg = OverlapSave(silence, len(u4)).convolve(u4[::-1])[len(u4) - 1:len(silence)]
         n_frames = len(qbg) // n_o
@@ -439,11 +442,12 @@ def test_decompose_traced_peak_stays_a_few_recordings():
 
 
 def test_decompose_traced_peak_with_a_long_silence_stays_a_few_silences():
-    """At 16 kHz and n_o 70 a 10 s silence is 2,269 overlapping windows
-    of 1,180 samples.  Correlated in one batch, with their band powers
-    in one batch, they made decompose trace 45.3 MB; a chunk at a time it
-    traces 3.2 MB, 2.48 times the silence's float64 bytes, mostly its
-    background frames.  The bound is 3 times."""
+    """At 16 kHz and n_o 70 a 10 s silence gives 2,269 background frames.
+    Correlated as overlapping windows of 1,180 samples in one batch, with
+    their band powers in one batch, they made decompose trace 45.3 MB; a
+    chunk of windows at a time, 3.2 MB, 2.48 times the silence's float64
+    bytes.  Through the one overlap-save, whose output the frames view,
+    it traces 2.12 times.  The bound is 2.5 times."""
     fs = 16000.0
     units = [generate_unit(d) for d in derive_unit_designs(DesignParams(fs=fs, fd=100.0, seed=3))]
     session = (units, 70, default_n_repeats(8))
@@ -457,13 +461,13 @@ def test_decompose_traced_peak_with_a_long_silence_stays_a_few_silences():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.0 * pre.nbytes
+    assert peak <= 2.5 * pre.nbytes
 
 
 def test_decompose_does_not_depend_on_the_chunk_lengths(monkeypatch):
-    """One comb, cycle, silence window and band-power frame at a time,
-    several with a last partial chunk, and everything at once (the
-    whole-array form) give the same bytes."""
+    """One comb, cycle and band-power frame at a time, several with a
+    last partial chunk, and everything at once (the whole-array form)
+    give the same bytes."""
     session, scale, rec, pre = _simulated_session(8000.0, 250.0, 5, 24)
     results = []
     for chunk in (1, 5000, 1 << 40):

@@ -8,6 +8,7 @@ import runpy
 import subprocess
 import sys
 import tracemalloc
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +341,42 @@ def test_full_pipeline_make_simulate_analyze(tmp_path):
     assert header.startswith("freq_hz,lti_l_db")
     for name in ("lti_raw.wav", "nonl_ti.wav", "rntv.wav"):
         assert (tmp_path / name).exists()
+
+
+def _write_pcm16(path, x, fs):
+    with wave.open(str(path), "wb") as w:
+        w.setnchannels(1)
+        w.setsampwidth(2)
+        w.setframerate(int(fs))
+        w.writeframes(np.clip(np.round(x * 32768), -32768, 32767).astype("<i2").tobytes())
+
+
+def test_analyze_skips_a_clipped_silence_when_the_playback_gain_exceeds_one(tmp_path):
+    """A recorder clips at 1.0 whatever the playback gain, so a PCM-16
+    silence with 4.5% of its samples at full scale gives no background
+    (pre_bg_db at the -300 dB floor) also at this session's scale of
+    1.42.  The same silence at half the level is used."""
+    assert main(["make-signal", "--fs", "16000", "--fd", "100", "--seed", "7",
+                 "--cycles", "2", "--out-dir", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "test_signal.json").read_text())["scale"] > 1.4
+    sys_path = tmp_path / "system.json"
+    sys_path.write_text(json.dumps({"lti_ir": [1.0, 0.0, 0.25], "noise_level_db": -80.0}))
+    assert main(["simulate", "--signal", str(tmp_path / "test_signal.wav"),
+                 "--system", str(sys_path), "--pre-silence-s", "0.5",
+                 "--out-dir", str(tmp_path)]) == 0
+    clipped = np.clip(np.random.default_rng(3).standard_normal(8000) * 0.5, -1.0, 1.0)
+    assert 0.04 < np.mean(np.abs(clipped) == 1.0) < 0.05
+    pre_bg_db = {}
+    for name, silence in (("clipped", clipped), ("quiet", clipped / 2)):
+        _write_pcm16(tmp_path / f"{name}.wav", silence, 16000)
+        assert main(["analyze", "--recording", str(tmp_path / "response.wav"),
+                     "--silence", str(tmp_path / f"{name}.wav"),
+                     "--sidecar", str(tmp_path / "test_signal.json"),
+                     "--out-dir", str(tmp_path / name)]) == 0
+        with open(tmp_path / name / "levels.csv", newline="") as f:
+            pre_bg_db[name] = [float(row["pre_bg_db"]) for row in csv.DictReader(f)]
+    assert set(pre_bg_db["clipped"]) == {-300.0}
+    assert max(pre_bg_db["quiet"]) > -300.0
 
 
 def test_analyze_rejects_sample_rate_mismatch(tmp_path, capsys):

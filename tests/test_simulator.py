@@ -21,7 +21,7 @@ def test_identity_passthrough():
 
 def test_latency_prepends_zeros():
     x = np.ones(10)
-    out, _ = run(VirtualSystem(lti_ir=(1.0,), latency_samples=25), x, FS)
+    out, _ = run(VirtualSystem(lti_ir=(1.0,), latency_samples=25), x, FS, pre_silence_s=1.0)
     assert np.all(out[:25] == 0.0)
     assert np.allclose(out[25:35], x)
 
@@ -30,7 +30,7 @@ def test_fir_convolution():
     ir = np.array([0.5, 0.0, -0.25])
     x = np.zeros(16)
     x[3] = 1.0
-    out, _ = run(VirtualSystem(lti_ir=tuple(ir)), x, FS)
+    out, _ = run(VirtualSystem(lti_ir=tuple(ir)), x, FS, pre_silence_s=1.0)
     assert np.allclose(out[3:6], ir)
 
 
@@ -40,7 +40,7 @@ def test_cubic_third_harmonic_closed_form():
     n = 8000
     k = 40  # exact bin, integer periods
     x = a * np.sin(2 * np.pi * k * np.arange(n) / n)
-    out, _ = run(VirtualSystem(lti_ir=(1.0,), nl_coeffs=(1.0, 0.0, c3)), x, FS)
+    out, _ = run(VirtualSystem(lti_ir=(1.0,), nl_coeffs=(1.0, 0.0, c3)), x, FS, pre_silence_s=1.0)
     spec = np.abs(np.fft.rfft(out)) / (n / 2)
     assert spec[3 * k] == pytest.approx(c3 * a ** 3 / 4.0, rel=0.01)
     assert spec[k] == pytest.approx(a + 0.75 * c3 * a ** 3, rel=0.01)
@@ -59,7 +59,7 @@ def test_noise_level_and_determinism():
 
 def test_drift_modulates_amplitude():
     x = np.ones(int(FS))
-    out, _ = run(VirtualSystem(lti_ir=(1.0,), drift=(0.5, 0.2)), x, FS)
+    out, _ = run(VirtualSystem(lti_ir=(1.0,), drift=(0.5, 0.2)), x, FS, pre_silence_s=1.0)
     assert np.max(out) <= 1.2 + 1e-9
     assert np.min(out) >= 0.8 - 1e-9
     assert np.ptp(out) == pytest.approx(0.4, rel=0.01)
@@ -67,13 +67,13 @@ def test_drift_modulates_amplitude():
 
 def test_overflow_guard():
     with pytest.raises(SignalError):
-        run(VirtualSystem(lti_ir=(100.0,)), np.ones(16), FS)
+        run(VirtualSystem(lti_ir=(100.0,)), np.ones(16), FS, pre_silence_s=1.0)
     x = np.ones(16)
     x[3] = np.nan
     with pytest.raises(SignalError, match="not finite"):
-        run(VirtualSystem(lti_ir=(1.0,)), x, FS)
+        run(VirtualSystem(lti_ir=(1.0,)), x, FS, pre_silence_s=1.0)
     with pytest.raises(SignalError, match="empty"):
-        run(VirtualSystem(lti_ir=(1.0,)), np.array([]), FS)
+        run(VirtualSystem(lti_ir=(1.0,)), np.array([]), FS, pre_silence_s=1.0)
 
 
 def test_from_json_reads_every_field():
@@ -124,7 +124,8 @@ def test_validate_rejects_a_field_that_is_not_a_whole_number(kw):
     """Library callers get the check from_dict applies to a system file."""
     (key,) = kw
     with pytest.raises(SignalError, match=key):
-        run(VirtualSystem(lti_ir=(1.0,), noise_level_db=-60.0, **kw), np.ones(800), FS)
+        run(VirtualSystem(lti_ir=(1.0,), noise_level_db=-60.0, **kw), np.ones(800), FS,
+            pre_silence_s=1.0)
 
 
 def test_from_dict_accepts_whole_numbers_written_as_floats():
@@ -139,7 +140,7 @@ def test_huge_latency_or_pre_silence_raises_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(SignalError, match="latency_samples"):
-            run(VirtualSystem(lti_ir=(1.0,), latency_samples=10 ** 12), x, FS)
+            run(VirtualSystem(lti_ir=(1.0,), latency_samples=10 ** 12), x, FS, pre_silence_s=1.0)
         with pytest.raises(SignalError, match="pre_silence_s"):
             run(VirtualSystem(lti_ir=(1.0,)), x, FS, pre_silence_s=10 ** 12)
         _, peak = tracemalloc.get_traced_memory()
@@ -194,7 +195,7 @@ def test_run_traces_at_most_one_and_three_quarter_signals(nl_coeffs, drift):
     system = VirtualSystem(lti_ir=ir / np.sqrt(np.sum(ir * ir)), nl_coeffs=nl_coeffs,
                            noise_level_db=-50.0, drift=drift, latency_samples=123,
                            noise_seed=4)
-    run(system, x[:1000], FS)  # leave first-call caches out
+    run(system, x[:1000], FS, pre_silence_s=1.0)  # leave first-call caches out
     tracemalloc.start()
     try:
         run(system, x, FS, pre_silence_s=0.1)
